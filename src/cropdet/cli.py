@@ -6,11 +6,12 @@ Subcommands:
     eval     score a predictions JSONL file against annotations
     bench    run the same sequence with and without crop scheduling
 
-Every tunable has a flag; --config takes a JSON file with the same keys.
-Precedence is defaults, then config file, then flags. Outputs split into
-deterministic files (detections.jsonl, report.json, pr_curve.csv,
-config.json), which are byte-identical for identical seeded runs, and
-wall-clock files (timing.jsonl, perf.json), which are not.
+Every field of the config dataclasses is a tunable with a flag, and
+--config takes a JSON file with the same keys, type-checked against the
+defaults. Precedence is defaults, then config file, then flags. Outputs
+split into deterministic files (detections.jsonl, report.json,
+pr_curve.csv, config.json), which are byte-identical for identical seeded
+runs, and wall-clock files (timing.jsonl, perf.json), which are not.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ import argparse
 import json
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .crop_proposal import CropTierConfig, proposal_debug_dump, two_tier_proposal
+from .crop_proposal import proposal_debug_dump, two_tier_proposal
 from .datasets_eval import (
     AnnotationParseError,
     AnnotationSet,
@@ -52,53 +52,70 @@ from .pipeline import (
     run_replay,
     timing_to_dict,
 )
-from .temporal_filter import TemporalConfig
 
 
 class CliError(Exception):
     """User-facing invocation problem; printed without a traceback."""
 
 
-DEFAULTS: dict = {
-    "full_frame_period": 5,
-    "full_frame_width": 416,
-    "full_frame_height": 416,
-    "nms_iou": 0.45,
-    "crops_on_refresh": True,
-    "full_frame_only": False,
+# Config keys are the fields of the config dataclasses, named by one rule:
+# a crop tier's fields take the tier's name as a prefix (large_k), except
+# the padding both tiers share; other nested configs add no prefix; and
+# OracleConfig.rng_seed is `seed`.
+_SHARED_TIER_FIELDS = ("pad_fraction", "min_pad_px")
+_RENAMED_FIELDS = {"rng_seed": "seed"}
+
+# settings of a run that no config dataclass holds
+_RUN_DEFAULTS = {
     "temporal_filter": True,
-    "conf_genuine": 0.2,
-    "conf_floor": 0.001,
-    "overlap_min": 0.5,
-    "large_k": 3,
-    "large_max_width": 448.0,
-    "large_max_height": 256.0,
-    "large_target_width": 224,
-    "large_target_height": 128,
-    "small_k": 20,
-    "small_max_width": 160.0,
-    "small_max_height": 96.0,
-    "small_target_width": 160,
-    "small_target_height": 96,
-    "pad_fraction": 0.10,
-    "min_pad_px": 8.0,
     "frame_width": 1920,
     "frame_height": 1080,
     "frames": None,
     "detector": "oracle",
     "external_cmd": None,
-    "seed": 0,
-    "min_visible_height": 12.0,
-    "jitter_fraction": 0.05,
-    "base_confidence": 0.85,
-    "flicker_prob": 0.0,
-    "degraded_confidence": 0.05,
 }
-
-# flag value types for keys whose default is None
-_FLAG_TYPES = {"frames": int, "external_cmd": str}
+# value types of the keys whose default is None; these keys also take null
+_NULLABLE_TYPES = {"frames": int, "external_cmd": str}
 
 _AUTO_FORMATS = {".json": "json", ".txt": "visdrone", ".csv": "darklabel"}
+
+
+def _prefix(field_name: str) -> str:
+    return field_name.removesuffix("tier") if field_name.endswith("_tier") else ""
+
+
+def _key(field_name: str, prefix: str) -> str:
+    if field_name in _SHARED_TIER_FIELDS:
+        return field_name
+    return _RENAMED_FIELDS.get(field_name, prefix + field_name)
+
+
+def _tunables(config) -> list[tuple[str, object]]:
+    # a tier's name labels it and is not tunable
+    return [(f.name, getattr(config, f.name)) for f in fields(config) if f.name != "name"]
+
+
+def _flatten(config, prefix: str = "") -> dict:
+    """Config key -> value for every tunable field of a config dataclass."""
+    flat = {}
+    for name, value in _tunables(config):
+        if is_dataclass(value):
+            flat.update(_flatten(value, _prefix(name)))
+        else:
+            flat[_key(name, prefix)] = value
+    return flat
+
+
+def _build(default, cfg: dict, prefix: str = ""):
+    """The inverse of _flatten: `default` with every tunable field read from cfg."""
+    changes = {
+        name: _build(value, cfg, _prefix(name)) if is_dataclass(value) else cfg[_key(name, prefix)]
+        for name, value in _tunables(default)
+    }
+    return replace(default, **changes)
+
+
+DEFAULTS: dict = {**_flatten(PipelineConfig()), **_flatten(OracleConfig()), **_RUN_DEFAULTS}
 
 
 def _config_parent() -> argparse.ArgumentParser:
@@ -109,9 +126,28 @@ def _config_parent() -> argparse.ArgumentParser:
         if isinstance(default, bool):
             parent.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction, default=None)
         else:
-            value_type = _FLAG_TYPES.get(key, type(default))
+            value_type = _NULLABLE_TYPES.get(key, type(default))
             parent.add_argument(flag, dest=key, type=value_type, default=None)
     return parent
+
+
+def _check_type(config_path: str, key: str, value: object) -> None:
+    """Raise CliError unless a config-file value has its key's type.
+
+    Booleans are not numbers here, and an integer is a valid float.
+    """
+    expected = _NULLABLE_TYPES.get(key, type(DEFAULTS[key]))
+    if value is None:
+        ok = key in _NULLABLE_TYPES
+    elif isinstance(value, bool):
+        ok = expected is bool
+    elif expected is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, expected)
+    if not ok:
+        name = expected.__name__ + (" or null" if key in _NULLABLE_TYPES else "")
+        raise CliError(f"{config_path}: {key} must be {name}, got {json.dumps(value)}")
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -128,6 +164,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         unknown = sorted(set(data) - set(DEFAULTS))
         if unknown:
             raise CliError(f"{config_path}: unknown config keys: {', '.join(unknown)}")
+        for key, value in data.items():
+            _check_type(config_path, key, value)
         resolved.update(data)
     for key in DEFAULTS:
         value = getattr(args, key, None)
@@ -140,53 +178,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def build_pipeline_config(cfg: dict) -> PipelineConfig:
-    large = CropTierConfig(
-        name="large",
-        k=cfg["large_k"],
-        max_width=cfg["large_max_width"],
-        max_height=cfg["large_max_height"],
-        target_width=cfg["large_target_width"],
-        target_height=cfg["large_target_height"],
-        pad_fraction=cfg["pad_fraction"],
-        min_pad_px=cfg["min_pad_px"],
-    )
-    small = CropTierConfig(
-        name="small",
-        k=cfg["small_k"],
-        max_width=cfg["small_max_width"],
-        max_height=cfg["small_max_height"],
-        target_width=cfg["small_target_width"],
-        target_height=cfg["small_target_height"],
-        pad_fraction=cfg["pad_fraction"],
-        min_pad_px=cfg["min_pad_px"],
-    )
-    temporal = TemporalConfig(
-        conf_genuine=cfg["conf_genuine"],
-        conf_floor=cfg["conf_floor"],
-        overlap_min=cfg["overlap_min"],
-    )
-    return PipelineConfig(
-        full_frame_period=cfg["full_frame_period"],
-        full_frame_width=cfg["full_frame_width"],
-        full_frame_height=cfg["full_frame_height"],
-        large_tier=large,
-        small_tier=small,
-        temporal=temporal,
-        nms_iou=cfg["nms_iou"],
-        crops_on_refresh=cfg["crops_on_refresh"],
-        full_frame_only=cfg["full_frame_only"],
-    )
+    return _build(PipelineConfig(), cfg)
 
 
 def build_oracle_config(cfg: dict) -> OracleConfig:
-    return OracleConfig(
-        rng_seed=cfg["seed"],
-        min_visible_height=cfg["min_visible_height"],
-        jitter_fraction=cfg["jitter_fraction"],
-        base_confidence=cfg["base_confidence"],
-        flicker_prob=cfg["flicker_prob"],
-        degraded_confidence=cfg["degraded_confidence"],
-    )
+    return _build(OracleConfig(), cfg)
 
 
 def load_annotation_file(path: str, fmt: str, cfg: dict) -> AnnotationSet:
@@ -291,24 +287,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
     paths = args.annotations
     if len(paths) == 1:
-        summaries = [run_one_sequence(paths[0], out, cfg, args.format, args.eval_iou, args.interpolation)]
+        jobs = [(paths[0], out)]
     else:
         stems = [Path(p).stem for p in paths]
         if len(set(stems)) != len(stems):
             raise CliError("annotation files must have distinct basenames for a multi-sequence run")
         jobs = [(p, out / stem) for p, stem in zip(paths, stems)]
-        if args.parallel_sequences > 1:
-            with ThreadPoolExecutor(max_workers=args.parallel_sequences) as pool:
-                futures = [
-                    pool.submit(run_one_sequence, p, d, cfg, args.format, args.eval_iou, args.interpolation)
-                    for p, d in jobs
-                ]
-                summaries = [f.result() for f in futures]
-        else:
-            summaries = [
-                run_one_sequence(p, d, cfg, args.format, args.eval_iou, args.interpolation)
-                for p, d in jobs
-            ]
+    summaries = [
+        run_one_sequence(p, d, cfg, args.format, args.eval_iou, args.interpolation)
+        for p, d in jobs
+    ]
     for s in summaries:
         print(
             f"{s['sequence']}: mAP {s['mean_ap']:.4f}, fps {s['fps']:.1f}, "
@@ -408,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--format", default="auto",
                        choices=("auto", "visdrone", "darklabel", "json"))
     p_run.add_argument("--out", required=True, metavar="DIR")
-    p_run.add_argument("--parallel-sequences", type=int, default=1, metavar="N",
-                       help="worker threads when running several sequences")
     _add_eval_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 

@@ -192,18 +192,16 @@ def propose_crops(
     return CropForest(tuple(trees), tuple(merged), scanned)
 
 
-def select_largest_k(forest: CropForest, k: int) -> tuple[list[Tree], frozenset[int]]:
-    """Keep the k largest trees; return them plus the discarded box indices.
+def select_largest_k(forest: CropForest, k: int) -> list[Tree]:
+    """Keep the k largest trees.
 
     Ranking is by node count descending, then smaller enclosing area,
     then smallest member index. The returned order is the proposal order.
     """
     if len(forest.trees) <= k:
-        return list(forest.trees), frozenset()
+        return list(forest.trees)
     ranked = sorted(forest.trees, key=lambda t: (-t.node_count, t.rect.area, t.members[0]))
-    selected = ranked[:k]
-    discarded = frozenset(i for tree in ranked[k:] for i in tree.members)
-    return selected, discarded
+    return ranked[:k]
 
 
 def _pad_amount(extent: float, tier: CropTierConfig) -> float:
@@ -296,7 +294,7 @@ def two_tier_proposal(
     large_crops: list[Crop] = []
     if large_tier.k > 0:
         forest = propose_crops(boxes, large_tier.k, large_tier.max_width, large_tier.max_height)
-        selected, _ = select_largest_k(forest, large_tier.k)
+        selected = select_largest_k(forest, large_tier.k)
         large_crops = [_make_crop(t.rect, large_tier, frame, t.members) for t in selected]
 
     uncovered = [
@@ -308,7 +306,7 @@ def two_tier_proposal(
     if uncovered and small_tier.k > 0:
         sub_boxes = [boxes[i] for i in uncovered]
         sub_forest = propose_crops(sub_boxes, small_tier.k, small_tier.max_width, small_tier.max_height)
-        sub_selected, _ = select_largest_k(sub_forest, small_tier.k)
+        sub_selected = select_largest_k(sub_forest, small_tier.k)
         for tree in sub_selected:
             members = tuple(uncovered[j] for j in tree.members)
             small_crops.append(_make_crop(tree.rect, small_tier, frame, members))

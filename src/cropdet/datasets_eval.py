@@ -242,7 +242,7 @@ def parse_annotations(path: str | Path, fmt: str, dims: FrameDims | None = None)
         raise ValueError(f"format {fmt!r} requires frame dimensions")
     if fmt == "visdrone":
         return parse_visdrone(path, dims)
-    if fmt in ("darklabel", "darklabel_csv"):
+    if fmt == "darklabel":
         return parse_darklabel(path, dims)
     raise ValueError(f"unknown annotation format {fmt!r}")
 

@@ -128,8 +128,6 @@ def oracle_detect(
 class OracleDetector:
     """Detector backed by an annotation set; frame handles are frame indices."""
 
-    concurrent_safe = True
-
     def __init__(self, annotations: AnnotationSet, config: OracleConfig) -> None:
         self.annotations = annotations
         self.config = config
@@ -295,8 +293,6 @@ class ExternalProcessDetector:
     concurrent use is not supported.
     """
 
-    concurrent_safe = False
-
     def __init__(self, command: Sequence[str], timeout: float | None = 10.0) -> None:
         self._proc = subprocess.Popen(
             list(command),
@@ -312,7 +308,14 @@ class ExternalProcessDetector:
     ) -> list[Detection]:
         if self._proc.poll() is not None:
             raise DetectorError(f"detector process exited with code {self._proc.returncode}")
-        return self._client.request(int(frame_handle), region, input_width, input_height)
+        try:
+            return self._client.request(int(frame_handle), region, input_width, input_height)
+        except DetectorError:
+            # after a timeout or a protocol violation the stream is out of
+            # step: a late reply would be read as the answer to the next request
+            self._proc.kill()
+            self._proc.wait()
+            raise
 
     def close(self) -> None:
         if self._proc.stdin is not None:

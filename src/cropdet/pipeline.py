@@ -34,11 +34,8 @@ class Detector(Protocol):
 
     detect receives the frame handle, the frame-space region to sample,
     and the input size the region is resized to; it returns boxes in
-    that resized input's coordinate space. concurrent_safe declares
-    whether independent calls may run from multiple threads.
+    that resized input's coordinate space.
     """
-
-    concurrent_safe: bool
 
     def detect(
         self, frame_handle: int, region: BoundingBox, input_width: float, input_height: float

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -12,14 +13,22 @@ from cropdet.synthetic import fidelity_scene, flicker_scene, low_resolution_scen
 TESTS_DIR = Path(__file__).parent
 PROTOCOL_DIR = TESTS_DIR / "data" / "protocol"
 RESPONDER = TESTS_DIR / "proto_responder.py"
+SRC_DIR = TESTS_DIR.parent / "src"
 
 sys.path.insert(0, str(TESTS_DIR))
 
 
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """Child Python processes import cropdet from this checkout, as the
+    test process does through pytest's pythonpath setting."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(SRC_DIR), prepend=os.pathsep)
+        yield
+
+
 class CountingDetector:
     """Returns nothing, counts full-frame versus crop calls."""
-
-    concurrent_safe = True
 
     def __init__(self, dims: FrameDims) -> None:
         self._frame_rect = dims.rect
@@ -40,8 +49,6 @@ class CannedDetector:
     """Replays a fixed frame -> detections mapping for full-frame calls and
     answers crop calls with nothing. Detections are given in frame space
     and converted to the call's input space."""
-
-    concurrent_safe = True
 
     def __init__(self, dims: FrameDims, by_frame: dict) -> None:
         self._dims = dims

@@ -11,6 +11,8 @@ Modes:
         answer every request with an empty box list
     silent SECONDS
         read one request and never answer
+    late SECONDS
+        answer every request with an empty box list after SECONDS
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ def main() -> int:
     elif mode == "silent":
         sys.stdin.readline()
         time.sleep(float(sys.argv[2]))
+    elif mode == "late":
+        for line in sys.stdin:
+            if line.strip():
+                time.sleep(float(sys.argv[2]))
+                sys.stdout.write("BOXES 0\n")
+                sys.stdout.flush()
     else:
         print(f"unknown mode {mode!r}", file=sys.stderr)
         return 2

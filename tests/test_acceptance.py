@@ -56,8 +56,6 @@ def criterion(n: int, name: str):
 
 
 class _CallCounter:
-    concurrent_safe = True
-
     def __init__(self, dims: FrameDims) -> None:
         self._frame_rect = dims.rect
         self.full_frame_calls = 0
@@ -118,7 +116,7 @@ def test_03_forest_constraints():
                 if tree.node_count > 1:
                     assert tree.rect.width <= max_width
                     assert tree.rect.height <= max_height
-            selected, _ = select_largest_k(forest, k)
+            selected = select_largest_k(forest, k)
             assert len(selected) <= k
 
             large, small, _ = two_tier_proposal(

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import shlex
 import sys
 
 import pytest
 
-from cropdet.cli import DEFAULTS, build_parser, main, resolve_config
+from cropdet.cli import (
+    DEFAULTS,
+    build_oracle_config,
+    build_parser,
+    build_pipeline_config,
+    main,
+    resolve_config,
+)
 from cropdet.datasets_eval import save_annotations
 from cropdet.synthetic import fidelity_scene, low_resolution_scene
 
@@ -85,6 +93,77 @@ def test_invalid_config_json_fails(tmp_path, scene_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [
+    {"large_k": "3"},
+    {"frames": 2.5},
+    {"nms_iou": None},
+    {"temporal_filter": "no"},
+    {"seed": "abc"},
+    {"seed": True},
+], ids=json.dumps)
+def test_wrong_typed_config_value_fails(tmp_path, scene_path, capsys, data):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(data))
+    assert run_cli("run", "--annotations", scene_path, "--out", tmp_path / "out",
+                   "--config", config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    (key,) = data
+    assert key in err
+
+
+def test_integer_config_value_for_float_key_is_kept(tmp_path, scene_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"large_max_width": 448}))
+    out = tmp_path / "out"
+    assert run_cli("run", "--annotations", scene_path, "--out", out, "--frames", 2,
+                   "--config", config) == 0
+    echoed = json.loads((out / "config.json").read_text())["large_max_width"]
+    assert echoed == 448 and isinstance(echoed, int)
+
+
+# keys that set the run itself, not a field of a config dataclass
+RUN_ONLY_KEYS = {"temporal_filter", "frame_width", "frame_height", "frames", "detector", "external_cmd"}
+
+
+def _built_fields(cfg):
+    """Field path -> value over the built pipeline and oracle configs."""
+    leaves = {}
+
+    def walk(config, path):
+        for f in dataclasses.fields(config):
+            value = getattr(config, f.name)
+            if dataclasses.is_dataclass(value):
+                walk(value, path + (f.name,))
+            else:
+                leaves[path + (f.name,)] = value
+
+    walk(build_pipeline_config(cfg), ("pipeline",))
+    walk(build_oracle_config(cfg), ("oracle",))
+    return leaves
+
+
+def test_each_config_key_sets_exactly_its_field():
+    base = _built_fields(DEFAULTS)
+    covered = set()
+    for key, default in DEFAULTS.items():
+        if key in RUN_ONLY_KEYS:
+            continue
+        if isinstance(default, bool):
+            value = not default
+        else:
+            value = default + (1 if isinstance(default, int) else 0.01)
+        built = _built_fields(dict(DEFAULTS, **{key: value}))
+        changed = {path for path in base if built[path] != base[path]}
+        # the padding keys are shared by both tiers
+        assert len(changed) == (2 if key in ("pad_fraction", "min_pad_px") else 1), key
+        assert all(built[path] == value for path in changed), key
+        covered |= changed
+    # every field but the tiers' names is set by some key
+    assert covered == {path for path in base if path[-1] != "name"}
+
+
 # ------------------------------------------------------------------- run
 
 
@@ -145,28 +224,12 @@ def test_run_multiple_sequences(tmp_path, capsys):
     save_annotations(fidelity_scene(6), a)
     save_annotations(low_resolution_scene(6), b)
     out = tmp_path / "out"
-    assert run_cli("run", "--annotations", a, b, "--out", out,
-                   "--parallel-sequences", 2, "--jitter-fraction", 0) == 0
+    assert run_cli("run", "--annotations", a, b, "--out", out, "--jitter-fraction", 0) == 0
     for stem in ("alpha", "beta"):
         for name in RUN_FILES:
             assert (out / stem / name).exists()
     stdout = capsys.readouterr().out
     assert stdout.index("alpha:") < stdout.index("beta:")
-
-
-def test_parallel_matches_serial(tmp_path):
-    a = tmp_path / "alpha.json"
-    b = tmp_path / "beta.json"
-    save_annotations(fidelity_scene(6), a)
-    save_annotations(low_resolution_scene(6), b)
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    assert run_cli("run", "--annotations", a, b, "--out", serial) == 0
-    assert run_cli("run", "--annotations", a, b, "--out", parallel,
-                   "--parallel-sequences", 2) == 0
-    for stem in ("alpha", "beta"):
-        for name in ("detections.jsonl", "report.json"):
-            assert (serial / stem / name).read_bytes() == (parallel / stem / name).read_bytes()
 
 
 def test_run_rejects_duplicate_basenames(tmp_path, capsys):

@@ -108,9 +108,8 @@ def test_partition_matches_naive_reference():
 def test_select_all_when_under_budget():
     boxes = [BoundingBox(0.0, 0.0, 10.0, 10.0), BoundingBox(500.0, 0.0, 510.0, 10.0)]
     forest = propose_crops(boxes, k=5, max_width=100.0, max_height=100.0)
-    selected, discarded = select_largest_k(forest, 5)
+    selected = select_largest_k(forest, 5)
     assert len(selected) == 2
-    assert discarded == frozenset()
 
 
 def test_select_prefers_larger_trees():
@@ -124,10 +123,9 @@ def test_select_prefers_larger_trees():
     ]
     forest = propose_crops(boxes, k=2, max_width=60.0, max_height=60.0)
     assert len(forest.trees) == 3
-    selected, discarded = select_largest_k(forest, 2)
+    selected = select_largest_k(forest, 2)
     assert selected[0].members == (0, 1)
     assert selected[1].members == (3,)  # area 100 beats area 1600
-    assert discarded == frozenset({2})
 
 
 def test_expand_grows_width_to_aspect():

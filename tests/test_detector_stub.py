@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import sys
+import time
 
 import pytest
 
@@ -289,6 +290,17 @@ def test_external_detector_timeout(responder_cmd):
     with ExternalProcessDetector(responder_cmd("silent", "30"), timeout=0.3) as detector:
         with pytest.raises(DetectorError):
             detector.detect(0, BoundingBox(0.0, 0.0, 50.0, 50.0), 100, 100)
+
+
+def test_external_detector_discards_late_reply(responder_cmd):
+    region = BoundingBox(0.0, 0.0, 50.0, 50.0)
+    with ExternalProcessDetector(responder_cmd("late", "1.0"), timeout=0.3) as detector:
+        with pytest.raises(DetectorError):
+            detector.detect(0, region, 100, 100)
+        time.sleep(1.0)
+        # the first request's reply has arrived by now; it must not answer this one
+        with pytest.raises(DetectorError):
+            detector.detect(1, region, 100, 100)
 
 
 def test_external_detector_dead_process(responder_cmd):

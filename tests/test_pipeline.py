@@ -28,8 +28,6 @@ def det(conf, x, y=0.0, w=10.0, h=20.0, source=""):
 
 
 class ExplodingDetector:
-    concurrent_safe = True
-
     def detect(self, frame_handle, region, input_width, input_height):
         raise RuntimeError("model crashed")
 
@@ -67,8 +65,6 @@ def test_crops_on_refresh_toggle():
     base = OracleConfig(jitter_fraction=0.0)
 
     class Spy:
-        concurrent_safe = True
-
         def __init__(self):
             self.inner = OracleDetector(scene, base)
             self.calls = []
@@ -122,8 +118,6 @@ def test_detection_remap_and_source_tagging():
     scene_gt = BoundingBox(500.0, 400.0, 520.0, 440.0)
 
     class OneBox:
-        concurrent_safe = True
-
         def detect(self, frame_handle, region, w, h):
             from cropdet.geometry import to_crop_coords
 
@@ -143,8 +137,6 @@ def test_detection_remap_and_source_tagging():
 
 def test_out_of_frame_detections_are_dropped():
     class OffScreen:
-        concurrent_safe = True
-
         def detect(self, frame_handle, region, w, h):
             return [Detection(BoundingBox(-50.0, -50.0, -10.0, -10.0), 0.9)]
 
@@ -182,8 +174,6 @@ def test_pixels_processed_accounting():
     )
 
     class Silent:
-        concurrent_safe = True
-
         def detect(self, *args):
             return []
 
