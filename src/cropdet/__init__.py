@@ -25,8 +25,6 @@ from .datasets_eval import (
     GroundTruth,
     evaluate_map,
     load_annotations,
-    measure_fps,
-    parse_annotations,
     parse_darklabel,
     parse_visdrone,
     save_annotations,
@@ -87,9 +85,7 @@ __all__ = [
     "filter_detections",
     "iou",
     "load_annotations",
-    "measure_fps",
     "merge_detections",
-    "parse_annotations",
     "parse_darklabel",
     "parse_visdrone",
     "process_frame",

@@ -4,20 +4,22 @@ Subcommands:
     run      replay annotated sequences through the pipeline, write results
     propose  print the crop proposal for one annotated frame
     eval     score a predictions JSONL file against annotations
-    bench    run the same sequence with and without crop scheduling
+    bench    compare crops, crops without the temporal filter, and full frame
 
 Every field of the config dataclasses is a tunable with a flag, and
 --config takes a JSON file with the same keys, type-checked against the
-defaults. Precedence is defaults, then config file, then flags. Outputs
-split into deterministic files (detections.jsonl, report.json,
-pr_curve.csv, config.json), which are byte-identical for identical seeded
-runs, and wall-clock files (timing.jsonl, perf.json), which are not.
+defaults. Precedence is defaults, then config file, then flags. --frames N
+replays and scores the first N annotated frames only. Outputs split into
+deterministic files (detections.jsonl, report.json, pr_curve.csv,
+config.json), which are byte-identical for identical seeded runs, and
+wall-clock files (timing.jsonl, perf.json), which are not.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import sys
 from dataclasses import fields, is_dataclass, replace
@@ -31,8 +33,8 @@ from .datasets_eval import (
     EvaluationError,
     evaluate_map,
     load_annotations,
-    measure_fps,
-    parse_annotations,
+    parse_darklabel,
+    parse_visdrone,
     write_pr_csv,
 )
 from .detections import Detection
@@ -77,7 +79,17 @@ _RUN_DEFAULTS = {
 # value types of the keys whose default is None; these keys also take null
 _NULLABLE_TYPES = {"frames": int, "external_cmd": str}
 
+# annotation format -> parser of a text format, which needs the frame size;
+# `json` is read by load_annotations, looked up here at call time
+_PARSERS = {"visdrone": parse_visdrone, "darklabel": parse_darklabel}
 _AUTO_FORMATS = {".json": "json", ".txt": "visdrone", ".csv": "darklabel"}
+
+# what each `cropdet bench` row changes in the resolved configuration
+_BENCH_MODES = {
+    "crop": {"full_frame_only": False},
+    "crop_no_filter": {"full_frame_only": False, "temporal_filter": False},
+    "full_frame": {"full_frame_only": True},
+}
 
 
 def _prefix(field_name: str) -> str:
@@ -118,6 +130,14 @@ def _build(default, cfg: dict, prefix: str = ""):
 DEFAULTS: dict = {**_flatten(PipelineConfig()), **_flatten(OracleConfig()), **_RUN_DEFAULTS}
 
 
+def number(text: str) -> int | float:
+    """A float flag's value; an integer literal stays an int, as in a config file."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _config_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--config", metavar="JSON", help="config file; flags override it")
@@ -127,7 +147,8 @@ def _config_parent() -> argparse.ArgumentParser:
             parent.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction, default=None)
         else:
             value_type = _NULLABLE_TYPES.get(key, type(default))
-            parent.add_argument(flag, dest=key, type=value_type, default=None)
+            parent.add_argument(flag, dest=key, type=number if value_type is float else value_type,
+                                default=None)
     return parent
 
 
@@ -187,16 +208,23 @@ def build_oracle_config(cfg: dict) -> OracleConfig:
 
 def load_annotation_file(path: str, fmt: str, cfg: dict) -> AnnotationSet:
     if fmt == "auto":
-        suffix = Path(path).suffix.lower()
-        fmt = _AUTO_FORMATS.get(suffix)
+        fmt = _AUTO_FORMATS.get(Path(path).suffix.lower())
         if fmt is None:
-            raise CliError(
-                f"cannot infer annotation format from {path!r}; pass --format explicitly"
-            )
+            raise CliError(f"cannot infer annotation format from {path!r}; pass --format explicitly")
     if fmt == "json":
         return load_annotations(path)
-    dims = FrameDims(cfg["frame_width"], cfg["frame_height"])
-    return parse_annotations(path, fmt, dims)
+    return _PARSERS[fmt](path, FrameDims(cfg["frame_width"], cfg["frame_height"]))
+
+
+def load_frames(path: str, fmt: str, cfg: dict) -> AnnotationSet:
+    """The annotated frames to replay and score: the first --frames, or all."""
+    annotations = load_annotation_file(path, fmt, cfg)
+    if annotations.frame_count == 0:
+        raise CliError(f"{path}: no annotated frames")
+    n_frames = cfg["frames"] if cfg["frames"] is not None else annotations.frame_count
+    if not 1 <= n_frames <= annotations.frame_count:
+        raise CliError(f"--frames {n_frames} outside the annotated range 1..{annotations.frame_count}")
+    return replace(annotations, frames=annotations.frames[:n_frames])
 
 
 def make_detector(cfg: dict, annotations: AnnotationSet) -> Detector:
@@ -232,14 +260,8 @@ def run_one_sequence(
     interpolation: str = "all_point",
 ) -> dict:
     """Replay one annotated sequence and write the output file set."""
-    annotations = load_annotation_file(annotations_path, fmt, cfg)
-    if annotations.frame_count == 0:
-        raise CliError(f"{annotations_path}: no annotated frames")
-    n_frames = cfg["frames"] if cfg["frames"] is not None else annotations.frame_count
-    if not 1 <= n_frames <= annotations.frame_count:
-        raise CliError(
-            f"--frames {n_frames} outside the annotated range 1..{annotations.frame_count}"
-        )
+    annotations = load_frames(annotations_path, fmt, cfg)
+    n_frames = annotations.frame_count
 
     pipeline_cfg = build_pipeline_config(cfg)
     detector = make_detector(cfg, annotations)
@@ -254,8 +276,10 @@ def run_one_sequence(
     report = evaluate_map(
         predictions, annotations, iou_threshold=eval_iou, interpolation=interpolation
     )
-    fps, mean_pixels = measure_fps(results)
+    mean_pixels = math.fsum(r.pixels_processed for r in results) / n_frames
     report = replace(report, mean_pixels_per_frame=mean_pixels)
+    wall_seconds = math.fsum(r.timing.total_s for r in results)
+    fps = n_frames / wall_seconds
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_jsonl(out_dir / "detections.jsonl", [frame_result_to_dict(r) for r in results])
@@ -267,7 +291,6 @@ def run_one_sequence(
         dict(cfg, annotations=str(annotations_path), format=fmt,
              eval_iou=eval_iou, interpolation=interpolation),
     )
-    wall_seconds = sum(r.timing.total_s for r in results)
     _write_json(
         out_dir / "perf.json",
         {"fps": fps, "wall_seconds": wall_seconds, "mean_pixels_per_frame": mean_pixels},
@@ -276,6 +299,7 @@ def run_one_sequence(
         "sequence": Path(annotations_path).stem,
         "frames": n_frames,
         "mean_ap": report.mean_ap,
+        "recall": report.true_positives / report.n_ground_truth if report.n_ground_truth else 0.0,
         "fps": fps,
         "mean_pixels_per_frame": mean_pixels,
         "out_dir": str(out_dir),
@@ -340,7 +364,7 @@ def _read_predictions(path: str) -> dict[int, list[Detection]]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    annotations = load_annotation_file(args.annotations, args.format, cfg)
+    annotations = load_frames(args.annotations, args.format, cfg)
     predictions = _read_predictions(args.predictions)
     report = evaluate_map(
         predictions, annotations, iou_threshold=args.eval_iou, interpolation=args.interpolation
@@ -355,24 +379,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
     out = Path(args.out)
-    crop_summary = run_one_sequence(
-        args.annotations, out / "crop", dict(cfg, full_frame_only=False),
-        args.format, args.eval_iou, args.interpolation,
-    )
-    full_summary = run_one_sequence(
-        args.annotations, out / "full_frame", dict(cfg, full_frame_only=True),
-        args.format, args.eval_iou, args.interpolation,
-    )
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "bench.json", {"crop": crop_summary, "full_frame": full_summary})
-    header = f"{'mode':<12} {'mAP':>8} {'fps':>10} {'mean px/frame':>14}"
+    summaries = {}
+    for mode, settings in _BENCH_MODES.items():
+        # a row's settings act as flags: crop_no_filter gets --no-temporal-filter's floor
+        cfg = resolve_config(argparse.Namespace(**{**vars(args), **settings}))
+        summaries[mode] = run_one_sequence(
+            args.annotations, out / mode, cfg, args.format, args.eval_iou, args.interpolation
+        )
+    _write_json(out / "bench.json", summaries)
+    header = f"{'mode':<14} {'mAP':>8} {'recall':>8} {'fps':>10} {'mean px/frame':>14}"
     print(header)
     print("-" * len(header))
-    for name, s in (("crop", crop_summary), ("full_frame", full_summary)):
+    for mode, s in summaries.items():
         print(
-            f"{name:<12} {s['mean_ap']:>8.4f} {s['fps']:>10.1f} "
+            f"{mode:<14} {s['mean_ap']:>8.4f} {s['recall']:>8.4f} {s['fps']:>10.1f} "
             f"{s['mean_pixels_per_frame']:>14.0f}"
         )
     return 0
@@ -385,6 +406,11 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
                         default="all_point", help="precision/recall interpolation rule")
 
 
+def _add_input_flags(parser: argparse.ArgumentParser, nargs: str | None = None) -> None:
+    parser.add_argument("--annotations", nargs=nargs, required=True, metavar="PATH")
+    parser.add_argument("--format", default="auto", choices=("auto", *_PARSERS, "json"))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parent = _config_parent()
     parser = argparse.ArgumentParser(prog="cropdet", description=__doc__,
@@ -392,36 +418,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", parents=[parent], help="replay sequences through the pipeline")
-    p_run.add_argument("--annotations", nargs="+", required=True, metavar="PATH")
-    p_run.add_argument("--format", default="auto",
-                       choices=("auto", "visdrone", "darklabel", "json"))
+    _add_input_flags(p_run, nargs="+")
     p_run.add_argument("--out", required=True, metavar="DIR")
     _add_eval_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_propose = sub.add_parser("propose", parents=[parent],
                                help="print the crop proposal for one frame")
-    p_propose.add_argument("--annotations", required=True, metavar="PATH")
-    p_propose.add_argument("--format", default="auto",
-                           choices=("auto", "visdrone", "darklabel", "json"))
+    _add_input_flags(p_propose)
     p_propose.add_argument("--frame", type=int, default=0)
     p_propose.set_defaults(func=cmd_propose)
 
     p_eval = sub.add_parser("eval", parents=[parent],
                             help="score a predictions JSONL file against annotations")
-    p_eval.add_argument("--annotations", required=True, metavar="PATH")
-    p_eval.add_argument("--format", default="auto",
-                        choices=("auto", "visdrone", "darklabel", "json"))
+    _add_input_flags(p_eval)
     p_eval.add_argument("--predictions", required=True, metavar="JSONL")
     p_eval.add_argument("--out", default=None, metavar="DIR")
     _add_eval_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_bench = sub.add_parser("bench", parents=[parent],
-                             help="compare crop scheduling against full-frame only")
-    p_bench.add_argument("--annotations", required=True, metavar="PATH")
-    p_bench.add_argument("--format", default="auto",
-                         choices=("auto", "visdrone", "darklabel", "json"))
+                             help="compare crops, crops without the filter, and full frame only")
+    _add_input_flags(p_bench)
     p_bench.add_argument("--out", required=True, metavar="DIR")
     _add_eval_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)

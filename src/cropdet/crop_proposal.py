@@ -22,6 +22,7 @@ from .geometry import (
     center_distance,
     enclosing_rect,
     intersection_area,
+    require_finite,
 )
 
 # A box counts as covered once at least this fraction of its area lies
@@ -43,6 +44,7 @@ class CropTierConfig:
     min_pad_px: float = 8.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.k < 0:
             raise ValueError(f"tier budget k must be >= 0, got {self.k}")
         if self.max_width <= 0 or self.max_height <= 0:

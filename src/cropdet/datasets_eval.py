@@ -19,13 +19,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .detections import Detection
 from .geometry import BoundingBox, FrameDims, clamp_box, iou
-
-if TYPE_CHECKING:
-    from .pipeline import FrameResult
 
 PEDESTRIAN_CATEGORY = 1
 IGNORE_CATEGORY = 0
@@ -234,19 +231,6 @@ def parse_darklabel(path: str | Path, dims: FrameDims) -> AnnotationSet:
     return AnnotationSet(dims=dims, frames=tuple(tuple(f) for f in frames))
 
 
-def parse_annotations(path: str | Path, fmt: str, dims: FrameDims | None = None) -> AnnotationSet:
-    """Dispatch to a parser by format name: visdrone, darklabel, or json."""
-    if fmt == "json":
-        return load_annotations(path)
-    if dims is None:
-        raise ValueError(f"format {fmt!r} requires frame dimensions")
-    if fmt == "visdrone":
-        return parse_visdrone(path, dims)
-    if fmt == "darklabel":
-        return parse_darklabel(path, dims)
-    raise ValueError(f"unknown annotation format {fmt!r}")
-
-
 @dataclass(frozen=True)
 class EvalReport:
     ap_per_class: dict[int, float]
@@ -259,7 +243,6 @@ class EvalReport:
     n_predictions: int
     iou_threshold: float
     interpolation: str
-    fps: float | None = None
     mean_pixels_per_frame: float | None = None
 
     def to_json_dict(self) -> dict:
@@ -273,7 +256,6 @@ class EvalReport:
             "n_predictions": self.n_predictions,
             "iou_threshold": self.iou_threshold,
             "interpolation": self.interpolation,
-            "fps": self.fps,
             "mean_pixels_per_frame": self.mean_pixels_per_frame,
             "pr_curve": [[r, p] for r, p in self.pr_curve],
         }
@@ -394,15 +376,3 @@ def evaluate_map(
         iou_threshold=iou_threshold,
         interpolation=interpolation,
     )
-
-
-def measure_fps(results: Sequence["FrameResult"]) -> tuple[float, float]:
-    """Frames per second and mean pixels handed to the detector per frame."""
-    results = list(results)
-    if not results:
-        raise EvaluationError("cannot measure throughput of an empty run")
-    total_s = math.fsum(r.timing.total_s for r in results)
-    if total_s <= 0.0:
-        raise EvaluationError("no elapsed time recorded in frame results")
-    mean_pixels = math.fsum(r.pixels_processed for r in results) / len(results)
-    return len(results) / total_s, mean_pixels

@@ -27,7 +27,7 @@ from typing import BinaryIO, Callable, Sequence, TextIO
 
 from .datasets_eval import AnnotationSet, GroundTruth
 from .detections import Detection
-from .geometry import BoundingBox, intersection_area, to_crop_coords
+from .geometry import BoundingBox, intersection_area, require_finite, to_crop_coords
 
 
 class DetectorError(Exception):
@@ -57,6 +57,7 @@ class OracleConfig:
     degraded_confidence: float = 0.05
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.min_visible_height < 0:
             raise ValueError(f"min_visible_height must be >= 0, got {self.min_visible_height}")
         if self.jitter_fraction < 0:
@@ -302,17 +303,20 @@ class ExternalProcessDetector:
         )
         assert self._proc.stdin is not None and self._proc.stdout is not None
         self._client = LineProtocolClient(self._proc.stdin, self._proc.stdout, timeout=timeout)
+        self._kill_reason: str | None = None
 
     def detect(
         self, frame_handle: int, region: BoundingBox, input_width: float, input_height: float
     ) -> list[Detection]:
         if self._proc.poll() is not None:
-            raise DetectorError(f"detector process exited with code {self._proc.returncode}")
+            reason = self._kill_reason or f"exited with code {self._proc.returncode}"
+            raise DetectorError(f"detector process {reason}")
         try:
             return self._client.request(int(frame_handle), region, input_width, input_height)
-        except DetectorError:
+        except DetectorError as exc:
             # after a timeout or a protocol violation the stream is out of
             # step: a late reply would be read as the answer to the next request
+            self._kill_reason = f"was stopped after an earlier failure: {exc}"
             self._proc.kill()
             self._proc.wait()
             raise

@@ -7,7 +7,7 @@ grids only ever happens at detector boundaries, never here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 
@@ -46,9 +46,6 @@ class BoundingBox:
     def center(self) -> tuple[float, float]:
         return (self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0
 
-    def translate(self, dx: float, dy: float) -> BoundingBox:
-        return BoundingBox(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy)
-
     def contains(self, other: BoundingBox) -> bool:
         """True when `other` lies entirely inside this box (borders included)."""
         return (
@@ -86,6 +83,14 @@ class FrameDims:
     @property
     def rect(self) -> BoundingBox:
         return BoundingBox(0.0, 0.0, float(self.width), float(self.height))
+
+
+def require_finite(config: object) -> None:
+    """Reject a NaN or infinite float field of a config dataclass; < and <= let NaN pass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def intersection_area(a: BoundingBox, b: BoundingBox) -> float:

@@ -25,7 +25,7 @@ from .crop_proposal import (
     two_tier_proposal,
 )
 from .detections import FULL_FRAME, Detection, crop_source
-from .geometry import BoundingBox, FrameDims, iou, to_frame_coords
+from .geometry import BoundingBox, FrameDims, iou, require_finite, to_frame_coords
 from .temporal_filter import TemporalConfig, filter_detections
 
 
@@ -55,6 +55,7 @@ class PipelineConfig:
     full_frame_only: bool = False
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.full_frame_period < 1:
             raise ValueError(f"full_frame_period must be >= 1, got {self.full_frame_period}")
         if self.full_frame_width < 1 or self.full_frame_height < 1:

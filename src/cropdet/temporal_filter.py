@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .detections import Detection
-from .geometry import iou
+from .geometry import iou, require_finite
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,7 @@ class TemporalConfig:
     overlap_min: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not 0.0 <= self.conf_floor <= self.conf_genuine <= 1.0:
             raise ValueError(
                 f"need 0 <= conf_floor <= conf_genuine <= 1, "

@@ -12,11 +12,13 @@ from cropdet.cli import (
     build_oracle_config,
     build_parser,
     build_pipeline_config,
+    load_annotation_file,
     main,
     resolve_config,
 )
 from cropdet.datasets_eval import save_annotations
-from cropdet.synthetic import fidelity_scene, low_resolution_scene
+from cropdet.geometry import FrameDims
+from cropdet.synthetic import fidelity_scene, flicker_scene, low_resolution_scene
 
 RUN_FILES = ("detections.jsonl", "timing.jsonl", "report.json", "pr_curve.csv", "config.json", "perf.json")
 
@@ -123,6 +125,46 @@ def test_integer_config_value_for_float_key_is_kept(tmp_path, scene_path):
     assert echoed == 448 and isinstance(echoed, int)
 
 
+@pytest.mark.parametrize("value", ["448", "448.5"])
+def test_float_flag_echoes_like_config_file(tmp_path, scene_path, value):
+    config = tmp_path / "cfg.json"
+    config.write_text(f'{{"large_max_width": {value}}}')
+    by_flag = tmp_path / "flag"
+    by_file = tmp_path / "file"
+    assert run_cli("run", "--annotations", scene_path, "--out", by_flag, "--frames", 2,
+                   "--large-max-width", value) == 0
+    assert run_cli("run", "--annotations", scene_path, "--out", by_file, "--frames", 2,
+                   "--config", config) == 0
+    echoed = (by_flag / "config.json").read_text()
+    assert f'"large_max_width": {value},' in echoed
+    assert echoed == (by_file / "config.json").read_text()
+
+
+FLOAT_KEYS = [key for key, default in DEFAULTS.items() if isinstance(default, float)]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_config_value_fails(tmp_path, scene_path, capsys, key, literal):
+    config = tmp_path / "cfg.json"
+    config.write_text(f'{{"{key}": {literal}}}')
+    out = tmp_path / "out"
+    assert run_cli("run", "--annotations", scene_path, "--out", out, "--frames", 2,
+                   "--config", config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [("--large-max-width", "inf"), ("--jitter-fraction", "nan")])
+def test_non_finite_flag_value_fails(tmp_path, scene_path, capsys, flag):
+    out = tmp_path / "out"
+    assert run_cli("run", "--annotations", scene_path, "--out", out, *flag) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # keys that set the run itself, not a field of a config dataclass
 RUN_ONLY_KEYS = {"temporal_filter", "frame_width", "frame_height", "frames", "detector", "external_cmd"}
 
@@ -182,15 +224,17 @@ def test_run_writes_output_files(tmp_path, scene_path, capsys):
 
     report = json.loads((out / "report.json").read_text())
     assert 0.0 <= report["mean_ap"] <= 1.0
-    assert report["fps"] is None
-    assert report["mean_pixels_per_frame"] > 0
+    assert "fps" not in report
+    pixels = [json.loads(line)["pixels_processed"] for line in lines]
+    assert report["mean_pixels_per_frame"] == sum(pixels) / 8
 
     timing_row = json.loads((out / "timing.jsonl").read_text().splitlines()[0])
     assert set(timing_row) == {"frame", "full_frame_s", "crops_s", "proposal_s", "filter_s", "total_s"}
 
     perf = json.loads((out / "perf.json").read_text())
-    assert perf["fps"] > 0
     assert perf["wall_seconds"] > 0
+    assert perf["fps"] == 8 / perf["wall_seconds"]
+    assert perf["mean_pixels_per_frame"] == report["mean_pixels_per_frame"]
 
     config = json.loads((out / "config.json").read_text())
     assert config["annotations"] == str(scene_path)
@@ -216,6 +260,29 @@ def test_run_rejects_bad_frame_counts(tmp_path, scene_path, capsys):
     assert "1..12" in capsys.readouterr().err
     assert run_cli("run", "--annotations", scene_path, "--out", tmp_path / "o",
                    "--frames", 99) == 1
+
+
+def test_frames_limits_scoring(tmp_path, scene_json, capsys):
+    path = scene_json(fidelity_scene(), "fidelity.json")
+    out = tmp_path / "out"
+    assert run_cli("run", "--annotations", path, "--out", out, "--frames", 3,
+                   "--jitter-fraction", 0) == 0
+    report = json.loads((out / "report.json").read_text())
+    # a perfect replay of the first 3 frames, scored against those frames only
+    assert report["mean_ap"] == 1.0
+    assert report["n_ground_truth"] == 33
+    capsys.readouterr()
+
+    predictions = out / "detections.jsonl"
+    assert run_cli("eval", "--annotations", path, "--predictions", predictions,
+                   "--frames", 3) == 0
+    assert json.loads(capsys.readouterr().out) == report | {"mean_pixels_per_frame": None}
+    # without --frames, eval scores every annotated frame
+    assert run_cli("eval", "--annotations", path, "--predictions", predictions) == 0
+    assert json.loads(capsys.readouterr().out)["n_ground_truth"] == 550
+    assert run_cli("eval", "--annotations", path, "--predictions", predictions,
+                   "--frames", 51) == 1
+    assert "1..50" in capsys.readouterr().err
 
 
 def test_run_multiple_sequences(tmp_path, capsys):
@@ -250,6 +317,41 @@ def test_format_auto_needs_known_suffix(tmp_path, capsys):
     assert "--format" in capsys.readouterr().err
     assert run_cli("run", "--annotations", path, "--format", "json",
                    "--out", tmp_path / "out") == 0
+
+
+def test_annotation_format_dispatch(tmp_path):
+    vis = tmp_path / "a.txt"
+    vis.write_text("1,1,10,10,20,40,1,1,0,0\n")
+    dark = tmp_path / "b.csv"
+    dark.write_text("0,1,1,10,10,20,40,person\n")
+    scene = tmp_path / "c.json"
+    save_annotations(fidelity_scene(1), scene)
+    small = dict(DEFAULTS, frame_width=640, frame_height=480)
+
+    for fmt in ("visdrone", "auto"):
+        parsed = load_annotation_file(str(vis), fmt, small)
+        assert parsed.frames[0][0].box.x_min == 10.0
+        assert parsed.dims == FrameDims(640, 480)
+    for fmt in ("darklabel", "auto"):
+        assert load_annotation_file(str(dark), fmt, small).frames[0][0].category == 1
+    for fmt in ("json", "auto"):
+        # the JSON format carries its own frame size
+        assert load_annotation_file(str(scene), fmt, small) == fidelity_scene(1)
+
+
+# the arguments each subcommand requires besides --annotations
+REQUIRED_ARGS = {"run": ["--out", "o"], "propose": [], "eval": ["--predictions", "p"],
+                 "bench": ["--out", "o"]}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+def test_every_subcommand_takes_every_format(command, capsys):
+    argv = [command, "--annotations", "x", *REQUIRED_ARGS[command]]
+    for fmt in ("auto", "visdrone", "darklabel", "json"):
+        assert build_parser().parse_args(argv + ["--format", fmt]).format == fmt
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + ["--format", "coco"])
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_run_visdrone_input(tmp_path):
@@ -322,7 +424,7 @@ def test_eval_reproduces_run_report(tmp_path, scene_path, capsys):
     capsys.readouterr()
 
     eval_out = tmp_path / "eval"
-    assert run_cli("eval", "--annotations", scene_path,
+    assert run_cli("eval", "--annotations", scene_path, "--frames", 8,
                    "--predictions", out / "detections.jsonl", "--out", eval_out) == 0
     eval_report = json.loads(capsys.readouterr().out)
     for key in ("mean_ap", "true_positives", "false_positives", "false_negatives",
@@ -350,17 +452,38 @@ def test_bench_compares_modes(tmp_path, scene_path, capsys):
     assert run_cli("bench", "--annotations", scene_path, "--out", out,
                    "--frames", 8, "--jitter-fraction", 0) == 0
     bench = json.loads((out / "bench.json").read_text())
-    assert set(bench) == {"crop", "full_frame"}
-    for mode in ("crop", "full_frame"):
+    assert set(bench) == {"crop", "crop_no_filter", "full_frame"}
+    for mode in bench:
         for name in RUN_FILES:
             assert (out / mode / name).exists()
+        report = json.loads((out / mode / "report.json").read_text())
+        assert bench[mode]["recall"] == report["true_positives"] / report["n_ground_truth"]
     # crop scheduling sees the small walkers that the full-frame pass misses
     assert bench["crop"]["mean_ap"] > bench["full_frame"]["mean_ap"]
     stdout = capsys.readouterr().out
-    assert "crop" in stdout and "full_frame" in stdout
+    assert "recall" in stdout.splitlines()[0]
+    assert all(mode in stdout for mode in bench)
 
     full_config = json.loads((out / "full_frame" / "config.json").read_text())
     assert full_config["full_frame_only"] is True
+    # the filter-off row is --no-temporal-filter: the drop floor rises to the genuine threshold
+    no_filter_config = json.loads((out / "crop_no_filter" / "config.json").read_text())
+    assert no_filter_config["full_frame_only"] is False
+    assert no_filter_config["temporal_filter"] is False
+    assert no_filter_config["conf_floor"] == no_filter_config["conf_genuine"]
+
+
+def test_bench_reproduces_temporal_filter_benefit(tmp_path, scene_json):
+    # acceptance 06 through the CLI: the filter recovers flickered detections
+    path = scene_json(flicker_scene(60), "flicker.json")
+    out = tmp_path / "bench"
+    assert run_cli("bench", "--annotations", path, "--out", out, "--seed", 3,
+                   "--jitter-fraction", 0, "--flicker-prob", 0.3) == 0
+    bench = json.loads((out / "bench.json").read_text())
+    for mode, hits in (("crop", 379), ("crop_no_filter", 199)):
+        report = json.loads((out / mode / "report.json").read_text())
+        assert (report["true_positives"], report["n_ground_truth"]) == (hits, 480), mode
+        assert bench[mode]["recall"] == hits / 480
 
 
 def test_module_entry_point(tmp_path, scene_json):

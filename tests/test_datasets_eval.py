@@ -13,8 +13,6 @@ from cropdet.datasets_eval import (
     GroundTruth,
     evaluate_map,
     load_annotations,
-    measure_fps,
-    parse_annotations,
     parse_darklabel,
     parse_visdrone,
     save_annotations,
@@ -22,7 +20,6 @@ from cropdet.datasets_eval import (
 )
 from cropdet.detections import Detection
 from cropdet.geometry import BoundingBox, FrameDims
-from cropdet.pipeline import FrameResult, FrameTiming
 
 DIMS = FrameDims(1920, 1080)
 
@@ -217,23 +214,6 @@ def test_from_json_dict_rejects_missing_keys():
         AnnotationSet.from_json_dict({"width": 10, "height": 10, "frames": [[{"x_min": 0}]]})
 
 
-def test_parse_annotations_dispatch(tmp_path):
-    vis = tmp_path / "a.txt"
-    vis.write_text("1,1,10,10,20,40,1,1,0,0\n")
-    dark = tmp_path / "b.csv"
-    dark.write_text("0,1,1,10,10,20,40,person\n")
-    scene = tmp_path / "c.json"
-    save_annotations(one_frame(gt(10.0, 10.0, 20.0, 40.0)), scene)
-
-    assert parse_annotations(vis, "visdrone", DIMS).frames[0][0].box.x_min == 10.0
-    assert parse_annotations(dark, "darklabel", DIMS).frames[0][0].category == 1
-    assert parse_annotations(scene, "json").dims == DIMS
-    with pytest.raises(ValueError):
-        parse_annotations(vis, "visdrone")  # dims required
-    with pytest.raises(ValueError):
-        parse_annotations(vis, "coco", DIMS)
-
-
 # ----------------------------------------------------------- evaluation
 
 
@@ -340,30 +320,13 @@ def test_report_json_dict_and_pr_csv(tmp_path):
     data = report.to_json_dict()
     assert data["mean_ap"] == 0.5
     assert data["ap_per_class"] == {"1": 0.5}
-    assert data["fps"] is None
+    assert "fps" not in data
     assert data["mean_pixels_per_frame"] is None
     assert data["pr_curve"] == [[0.5, 1.0], [0.5, 0.5]]
 
     path = tmp_path / "pr.csv"
     write_pr_csv(report, path)
     assert path.read_text() == "recall,precision\n0.5,1.0\n0.5,0.5\n"
-
-
-def test_measure_fps():
-    timing = FrameTiming(full_frame_s=0.1, crops_s=0.1, proposal_s=0.025, filter_s=0.025, total_s=0.25)
-    results = [
-        FrameResult(frame_index=0, detections=[], crops_used=[], timing=timing, pixels_processed=100),
-        FrameResult(frame_index=1, detections=[], crops_used=[], timing=timing, pixels_processed=300),
-    ]
-    fps, mean_pixels = measure_fps(results)
-    assert fps == pytest.approx(4.0)
-    assert mean_pixels == 200.0
-
-    with pytest.raises(EvaluationError):
-        measure_fps([])
-    zero = FrameTiming(0.0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(EvaluationError):
-        measure_fps([FrameResult(0, [], [], zero, 0)])
 
 
 @st.composite

@@ -298,8 +298,9 @@ def test_external_detector_discards_late_reply(responder_cmd):
         with pytest.raises(DetectorError):
             detector.detect(0, region, 100, 100)
         time.sleep(1.0)
-        # the first request's reply has arrived by now; it must not answer this one
-        with pytest.raises(DetectorError):
+        # the first request's reply has arrived by now; it must not answer
+        # this one, and the error names the timeout, not the kill
+        with pytest.raises(DetectorError, match="timed out"):
             detector.detect(1, region, 100, 100)
 
 
