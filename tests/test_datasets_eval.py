@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cropdet.cli import DEFAULTS, run_one_sequence
 from cropdet.datasets_eval import (
     AnnotationParseError,
     AnnotationSet,
@@ -20,6 +22,7 @@ from cropdet.datasets_eval import (
 )
 from cropdet.detections import Detection
 from cropdet.geometry import BoundingBox, FrameDims
+from cropdet.synthetic import fidelity_scene
 
 DIMS = FrameDims(1920, 1080)
 
@@ -327,6 +330,23 @@ def test_report_json_dict_and_pr_csv(tmp_path):
     path = tmp_path / "pr.csv"
     write_pr_csv(report, path)
     assert path.read_text() == "recall,precision\n0.5,1.0\n0.5,0.5\n"
+
+
+def test_measure_fps(tmp_path, scene_json):
+    path = scene_json(fidelity_scene(), "fidelity.json")
+    out = tmp_path / "out"
+    summary = run_one_sequence(str(path), out, dict(DEFAULTS, frames=4), "json")
+
+    def rows(name):
+        return [json.loads(line) for line in (out / name).read_text().splitlines()]
+
+    perf = json.loads((out / "perf.json").read_text())
+    assert perf["wall_seconds"] == math.fsum(row["total_s"] for row in rows("timing.jsonl"))
+    assert perf["wall_seconds"] > 0
+    assert perf["fps"] == 4 / perf["wall_seconds"]
+    pixels = [row["pixels_processed"] for row in rows("detections.jsonl")]
+    assert perf["mean_pixels_per_frame"] == sum(pixels) / 4
+    assert summary["frames"] == 4
 
 
 @st.composite
