@@ -356,7 +356,7 @@ def _read_predictions(path: str) -> dict[int, list[Detection]]:
                 row = json.loads(line)
                 frame = int(row["frame"])
                 dets = [detection_from_dict(d) for d in row["detections"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise CliError(f"{path}:{lineno}: bad prediction row ({exc})") from exc
             predictions.setdefault(frame, []).extend(dets)
     return predictions

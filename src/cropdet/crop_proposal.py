@@ -3,9 +3,10 @@
 Boxes are clustered with a Kruskal-style sweep over the fully connected
 center-distance graph: edges are taken in ascending weight order and two
 clusters merge only while the merged enclosing rectangle still fits the
-tier's maximum crop size. The sweep stops as soon as the number of
-clusters reaches the tier budget k. Clusters become crop regions after
-padding, aspect correction, and clamping into the frame.
+tier's maximum crop size. Edges too long to ever merge are never built.
+The sweep stops as soon as the number of clusters reaches the tier budget
+k. Clusters become crop regions after padding, aspect correction, and
+clamping into the frame.
 
 Two tiers run in sequence: a large tier for dense groups, then a small
 tier over whatever the large crops left uncovered.
@@ -13,17 +14,11 @@ tier over whatever the large crops left uncovered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import (
-    BoundingBox,
-    FrameDims,
-    center_distance,
-    enclosing_rect,
-    intersection_area,
-    require_finite,
-)
+from .geometry import NEIGHBOURHOOD, BoundingBox, FrameDims, Rect, grid_cell, require_finite
 
 # A box counts as covered once at least this fraction of its area lies
 # inside some already-proposed crop region.
@@ -102,50 +97,6 @@ class Crop:
     members: tuple[int, ...] = ()
 
 
-class DisjointSetForest:
-    """Union-find over box indices, tracking per-root size and enclosing rect.
-
-    find uses path compression, union uses rank. Aggregates are stored
-    per root so merge validity can be checked without walking members.
-    """
-
-    def __init__(self, rects: Sequence[BoundingBox]) -> None:
-        n = len(rects)
-        self._parent = list(range(n))
-        self._rank = [0] * n
-        self._count = [1] * n
-        self._rect = list(rects)
-        self.tree_count = n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def rect(self, root: int) -> BoundingBox:
-        return self._rect[root]
-
-    def count(self, root: int) -> int:
-        return self._count[root]
-
-    def union(self, a: int, b: int, merged_rect: BoundingBox) -> int:
-        """Merge two distinct roots; the caller supplies the merged rect."""
-        if a == b:
-            raise ValueError("union of a root with itself")
-        if self._rank[a] < self._rank[b]:
-            a, b = b, a
-        self._parent[b] = a
-        if self._rank[a] == self._rank[b]:
-            self._rank[a] += 1
-        self._count[a] += self._count[b]
-        self._rect[a] = merged_rect
-        self.tree_count -= 1
-        return a
-
-
 def propose_crops(
     boxes: Sequence[BoundingBox], k: int, max_width: float, max_height: float
 ) -> CropForest:
@@ -157,41 +108,83 @@ def propose_crops(
     max_width x max_height; the scan exits once k or fewer trees remain.
     More than k trees can survive when the size cap blocks every
     remaining merge.
+
+    Only edges no longer than reach = hypot(max_width, max_height) are
+    built and sorted: a merged rectangle holds both centers, so a longer
+    edge can never merge and sorts after every edge that can. Those
+    edges are found by bucketing centers in a grid of cells a little
+    wider than reach and searching each center's 3x3 neighbourhood. The result equals the
+    sweep over all n(n-1)/2 edges, edges_scanned included: a sweep that
+    reaches k stops on an edge within reach, and one that does not scans
+    every edge.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = len(boxes)
-    if n == 0:
-        return CropForest((), (), 0)
+    if n <= k:
+        return CropForest(tuple(Tree((i,), box) for i, box in enumerate(boxes)), (), 0)
 
-    dsf = DisjointSetForest(list(boxes))
-    edges = sorted(
-        (center_distance(boxes[u], boxes[v]), u, v) for u in range(n) for v in range(u + 1, n)
-    )
+    rects = [box.as_tuple() for box in boxes]
+    centers = [((x0 + x1) / 2.0, (y0 + y1) / 2.0) for x0, y0, x1, y1 in rects]
+    # the margin covers math.hypot's sub-ulp error on reach and on the weights
+    reach = math.hypot(max_width, max_height) * (1.0 + 2.0**-40)
+    cell = grid_cell(reach, max(max(abs(x), abs(y)) for x, y in centers))
+    grid: dict[tuple[int, int], list[int]] = {}
+    edges: list[tuple[float, int, int]] = []
+    for v, (x, y) in enumerate(centers):
+        gx, gy = math.floor(x / cell), math.floor(y / cell)
+        for dx, dy in NEIGHBOURHOOD:
+            for u in grid.get((gx + dx, gy + dy), ()):
+                ux, uy = centers[u]
+                weight = math.hypot(ux - x, uy - y)
+                if weight <= reach:
+                    edges.append((weight, u, v))
+        grid.setdefault((gx, gy), []).append(v)
+    edges.sort()
 
+    # union-find over box indices; rects[root] is the root's enclosing rect
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    tree_count = n
     merged: list[tuple[int, int, float]] = []
     scanned = 0
     for weight, u, v in edges:
-        if dsf.tree_count <= k:
+        if tree_count <= k:
             break
         scanned += 1
-        root_u = dsf.find(u)
-        root_v = dsf.find(v)
+        root_u = u if parent[u] == u else find(u)
+        root_v = v if parent[v] == v else find(v)
         if root_u == root_v:
             continue
-        rect = enclosing_rect((dsf.rect(root_u), dsf.rect(root_v)))
-        if rect.width <= max_width and rect.height <= max_height:
-            dsf.union(root_u, root_v, rect)
+        # min() and max() of (root_u's, root_v's) coordinates, inlined
+        ux0, uy0, ux1, uy1 = rects[root_u]
+        vx0, vy0, vx1, vy1 = rects[root_v]
+        x0 = vx0 if vx0 < ux0 else ux0
+        y0 = vy0 if vy0 < uy0 else uy0
+        x1 = vx1 if vx1 > ux1 else ux1
+        y1 = vy1 if vy1 > uy1 else uy1
+        if x1 - x0 <= max_width and y1 - y0 <= max_height:
+            parent[root_v] = root_u
+            rects[root_u] = (x0, y0, x1, y1)
+            tree_count -= 1
             merged.append((u, v, weight))
+    if tree_count > k:
+        scanned = n * (n - 1) // 2
 
     groups: dict[int, list[int]] = {}
     for i in range(n):
-        groups.setdefault(dsf.find(i), []).append(i)
-    trees = sorted(
-        (Tree(tuple(members), dsf.rect(root)) for root, members in groups.items()),
-        key=lambda t: t.members[0],
+        groups.setdefault(find(i), []).append(i)
+    # groups were opened in order of their smallest member
+    trees = tuple(
+        Tree(tuple(members), BoundingBox(*rects[root])) for root, members in groups.items()
     )
-    return CropForest(tuple(trees), tuple(merged), scanned)
+    return CropForest(trees, tuple(merged), scanned)
 
 
 def select_largest_k(forest: CropForest, k: int) -> list[Tree]:
@@ -266,10 +259,17 @@ def expand_crop(rect: BoundingBox, tier: CropTierConfig, frame: FrameDims) -> Bo
     return BoundingBox(x_min, y_min, x_max, y_max)
 
 
-def _covered(box: BoundingBox, region: BoundingBox) -> bool:
-    if box.area <= 0.0:
-        return region.contains(box)
-    return intersection_area(box, region) / box.area >= COVERAGE_MIN
+def _covered(box: Rect, region: Rect) -> bool:
+    x_min, y_min, x_max, y_max = box
+    area = (x_max - x_min) * (y_max - y_min)
+    if area <= 0.0:
+        return (region[0] <= x_min and region[1] <= y_min
+                and x_max <= region[2] and y_max <= region[3])
+    w = min(x_max, region[2]) - max(x_min, region[0])
+    h = min(y_max, region[3]) - max(y_min, region[1])
+    if w <= 0.0 or h <= 0.0:
+        return False
+    return w * h / area >= COVERAGE_MIN
 
 
 def _make_crop(tree_rect: BoundingBox, tier: CropTierConfig, frame: FrameDims,
@@ -292,6 +292,7 @@ def two_tier_proposal(
     boxes = list(boxes)
     if not boxes:
         return [], [], frozenset()
+    rects = [box.as_tuple() for box in boxes]
 
     large_crops: list[Crop] = []
     if large_tier.k > 0:
@@ -299,9 +300,9 @@ def two_tier_proposal(
         selected = select_largest_k(forest, large_tier.k)
         large_crops = [_make_crop(t.rect, large_tier, frame, t.members) for t in selected]
 
+    regions = [crop.region.as_tuple() for crop in large_crops]
     uncovered = [
-        i for i, box in enumerate(boxes)
-        if not any(_covered(box, crop.region) for crop in large_crops)
+        i for i, rect in enumerate(rects) if not any(_covered(rect, r) for r in regions)
     ]
 
     small_crops: list[Crop] = []
@@ -313,9 +314,9 @@ def two_tier_proposal(
             members = tuple(uncovered[j] for j in tree.members)
             small_crops.append(_make_crop(tree.rect, small_tier, frame, members))
 
+    regions = [crop.region.as_tuple() for crop in small_crops]
     still_uncovered = frozenset(
-        i for i in uncovered
-        if not any(_covered(boxes[i], crop.region) for crop in small_crops)
+        i for i in uncovered if not any(_covered(rects[i], r) for r in regions)
     )
     return large_crops, small_crops, still_uncovered
 

@@ -38,7 +38,7 @@ class EvaluationError(Exception):
     """Predictions and ground truth cannot be compared as given."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
     box: BoundingBox
     object_id: int
@@ -108,7 +108,7 @@ class AnnotationSet:
                 )
                 for frame in data["frames"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise AnnotationParseError(f"bad annotation JSON: {exc}") from exc
         return cls(dims=dims, frames=frames)
 

@@ -14,7 +14,7 @@ def crop_source(index: int) -> str:
     return f"crop:{index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One detector output box with its score.
 
@@ -26,7 +26,6 @@ class Detection:
     box: BoundingBox
     confidence: float
     source: str = ""
-    class_id: int = 0
     resurrected: bool = False
 
     def __post_init__(self) -> None:

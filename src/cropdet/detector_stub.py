@@ -319,6 +319,7 @@ class ExternalProcessDetector:
             self._kill_reason = f"was stopped after an earlier failure: {exc}"
             self._proc.kill()
             self._proc.wait()
+            self._proc.stdout.close()
             raise
 
     def close(self) -> None:
@@ -332,6 +333,7 @@ class ExternalProcessDetector:
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
+        self._proc.stdout.close()
 
     def __enter__(self) -> ExternalProcessDetector:
         return self

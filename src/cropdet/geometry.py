@@ -11,7 +11,12 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
+# A box as a plain (x_min, y_min, x_max, y_max) tuple, for the per-frame
+# loops where building a validated BoundingBox per operation dominates.
+Rect = tuple[float, float, float, float]
+
+
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned rectangle, corners (x_min, y_min) to (x_max, y_max)."""
 
@@ -111,6 +116,37 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def rect_iou(a: Rect, b: Rect) -> float:
+    """iou of two Rect tuples, with the same float operations in the same
+    order, so the two agree exactly."""
+    w = min(a[2], b[2]) - max(a[0], b[0])
+    h = min(a[3], b[3]) - max(a[1], b[1])
+    if w <= 0.0 or h <= 0.0:
+        return 0.0
+    inter = w * h
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+# The 3x3 block of grid cells around a cell, as offsets.
+NEIGHBOURHOOD = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
+
+def grid_cell(extent: float, span: float) -> float:
+    """Side of the grid cells that bucket coordinates for a neighbour search.
+
+    Cells are indexed by math.floor(coordinate / cell). Two coordinates of
+    magnitude at most `span` that differ by at most `extent` (give or take
+    a few ulps) then land in the same or adjacent cells, whatever the
+    rounding: the cell is wider than extent by a relative 2**-20, and at
+    most 2**26 cells fit across span, so the division rounds by at most
+    2**-27 of a cell.
+    """
+    return max(extent * (1.0 + 2.0**-20), span * 2.0**-26) or 1.0
 
 
 def center_distance(a: BoundingBox, b: BoundingBox) -> float:

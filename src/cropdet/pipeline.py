@@ -12,6 +12,7 @@ detector makes the whole replay deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Callable, Protocol, Sequence
@@ -25,7 +26,16 @@ from .crop_proposal import (
     two_tier_proposal,
 )
 from .detections import FULL_FRAME, Detection, crop_source
-from .geometry import BoundingBox, FrameDims, iou, require_finite, to_frame_coords
+from .geometry import (
+    NEIGHBOURHOOD,
+    BoundingBox,
+    FrameDims,
+    Rect,
+    grid_cell,
+    rect_iou,
+    require_finite,
+    to_frame_coords,
+)
 from .temporal_filter import TemporalConfig, filter_detections
 
 
@@ -81,6 +91,7 @@ class FrameState:
 class FrameTiming:
     full_frame_s: float
     crops_s: float
+    nms_s: float
     proposal_s: float
     filter_s: float
     total_s: float
@@ -110,14 +121,34 @@ def merge_detections(groups: Sequence[Sequence[Detection]], nms_iou: float) -> l
     Candidates are visited in descending confidence (ties: earlier call,
     earlier box wins) and kept unless they overlap an already-kept box
     with IoU strictly above nms_iou.
+
+    A candidate is tested only against kept boxes whose minimum corner
+    lies in the 3x3 grid neighbourhood of its own, with cells as wide and
+    as tall as the widest and tallest box. Boxes further apart do not
+    overlap, and an IoU of 0 never suppresses since nms_iou >= 0.
     """
+    if not nms_iou >= 0.0:  # NaN included
+        raise ValueError(f"nms_iou must be >= 0, got {nms_iou}")
     flat = [det for group in groups for det in group]
+    if not flat:
+        return []
+    rects = [det.box.as_tuple() for det in flat]
+    span = max(max(abs(r[0]), abs(r[1])) for r in rects)
+    cell_w = grid_cell(max(r[2] - r[0] for r in rects), span)
+    cell_h = grid_cell(max(r[3] - r[1] for r in rects), span)
     order = sorted(range(len(flat)), key=lambda i: (-flat[i].confidence, i))
+    grid: dict[tuple[int, int], list[Rect]] = {}
     kept: list[Detection] = []
     for i in order:
-        candidate = flat[i]
-        if all(iou(candidate.box, k.box) <= nms_iou for k in kept):
-            kept.append(candidate)
+        rect = rects[i]
+        gx, gy = math.floor(rect[0] / cell_w), math.floor(rect[1] / cell_h)
+        if all(
+            rect_iou(rect, other) <= nms_iou
+            for dx, dy in NEIGHBOURHOOD
+            for other in grid.get((gx + dx, gy + dy), ())
+        ):
+            kept.append(flat[i])
+            grid.setdefault((gx, gy), []).append(rect)
     return kept
 
 
@@ -212,7 +243,9 @@ def process_frame(
             pixels += crop.target_width * crop.target_height
         crops_s = perf_counter() - t0
 
+    t0 = perf_counter()
     merged = merge_detections(groups, config.nms_iou)
+    nms_s = perf_counter() - t0
 
     t0 = perf_counter()
     accepted, genuine_next = filter_detections(merged, state.genuine_prev, config.temporal)
@@ -231,6 +264,7 @@ def process_frame(
     timing = FrameTiming(
         full_frame_s=full_frame_s,
         crops_s=crops_s,
+        nms_s=nms_s,
         proposal_s=proposal_s,
         filter_s=filter_s,
         total_s=perf_counter() - t_start,
@@ -310,6 +344,7 @@ def timing_to_dict(result: FrameResult) -> dict:
         "frame": result.frame_index,
         "full_frame_s": t.full_frame_s,
         "crops_s": t.crops_s,
+        "nms_s": t.nms_s,
         "proposal_s": t.proposal_s,
         "filter_s": t.filter_s,
         "total_s": t.total_s,

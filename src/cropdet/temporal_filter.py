@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .detections import Detection
-from .geometry import iou, require_finite
+from .geometry import rect_iou, require_finite
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,7 @@ def filter_detections(
     """
     accepted: list[Detection] = []
     genuine_next: list[Detection] = []
+    prev_rects = [prev.box.as_tuple() for prev in genuine_prev]
     for det in candidates:
         if det.confidence >= config.conf_genuine:
             accepted.append(det)
@@ -60,8 +61,7 @@ def filter_detections(
         elif det.confidence < config.conf_floor:
             continue
         else:
-            for prev in genuine_prev:
-                if iou(det.box, prev.box) >= config.overlap_min:
-                    accepted.append(replace(det, resurrected=True))
-                    break
+            rect = det.box.as_tuple()
+            if any(rect_iou(rect, prev) >= config.overlap_min for prev in prev_rects):
+                accepted.append(replace(det, resurrected=True))
     return accepted, genuine_next

@@ -2,33 +2,37 @@
 
 Everything here recomputes from first principles: partitions are plain
 lists of sets, enclosing rectangles are rebuilt from every member box on
-each merge, and overlap is counted pixel by pixel. No union-find, no
-incremental aggregates.
+each merge, overlap is counted pixel by pixel, and every pair of boxes
+is tested. No union-find, no incremental aggregates, no pruning.
 """
 
 from __future__ import annotations
 
 from random import Random
 
-from cropdet.geometry import BoundingBox, center_distance
+from cropdet.detections import Detection
+from cropdet.geometry import BoundingBox, center_distance, iou
 
 
-def naive_forest(
+def _naive_sweep(
     boxes: list[BoundingBox], k: int, max_width: float, max_height: float
-) -> list[tuple[int, ...]]:
-    """Partition of box indices after the constrained merge sweep.
+) -> tuple[list[set[int]], int, list[tuple[int, int, float]]]:
+    """The constrained merge sweep over every one of the n(n-1)/2 edges.
 
-    Returned as a list of sorted member tuples, ordered by smallest
-    member, with each tree's enclosing rect recomputed from scratch.
+    Returns the trees as sets, the number of edges examined before the
+    sweep stopped, and the merges as (u, v, weight) in merge order.
     """
     n = len(boxes)
     trees: list[set[int]] = [{i} for i in range(n)]
     edges = sorted(
         (center_distance(boxes[u], boxes[v]), u, v) for u in range(n) for v in range(u + 1, n)
     )
-    for _, u, v in edges:
+    scanned = 0
+    merges: list[tuple[int, int, float]] = []
+    for weight, u, v in edges:
         if len(trees) <= k:
             break
+        scanned += 1
         tree_u = next(t for t in trees if u in t)
         tree_v = next(t for t in trees if v in t)
         if tree_u is tree_v:
@@ -40,7 +44,38 @@ def naive_forest(
             trees.remove(tree_u)
             trees.remove(tree_v)
             trees.append(merged)
+            merges.append((u, v, weight))
+    return trees, scanned, merges
+
+
+def naive_forest(
+    boxes: list[BoundingBox], k: int, max_width: float, max_height: float
+) -> list[tuple[int, ...]]:
+    """Partition of box indices after the constrained merge sweep.
+
+    Returned as a list of sorted member tuples, ordered by smallest
+    member, with each tree's enclosing rect recomputed from scratch.
+    """
+    trees, _, _ = _naive_sweep(boxes, k, max_width, max_height)
     return sorted((tuple(sorted(t)) for t in trees), key=lambda t: t[0])
+
+
+def naive_edges_scanned(
+    boxes: list[BoundingBox], k: int, max_width: float, max_height: float
+) -> tuple[int, list[tuple[int, int, float]]]:
+    """Edges the sweep over all n(n-1)/2 edges examines, and its merges."""
+    _, scanned, merges = _naive_sweep(boxes, k, max_width, max_height)
+    return scanned, merges
+
+
+def naive_nms(detections: list[Detection], nms_iou: float) -> list[Detection]:
+    """Greedy NMS testing each candidate against every kept box."""
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
+    kept: list[Detection] = []
+    for i in order:
+        if all(iou(detections[i].box, k.box) <= nms_iou for k in kept):
+            kept.append(detections[i])
+    return kept
 
 
 def naive_tree_rect(boxes: list[BoundingBox], members: tuple[int, ...]) -> BoundingBox:

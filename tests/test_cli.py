@@ -229,7 +229,7 @@ def test_run_writes_output_files(tmp_path, scene_path, capsys):
     assert report["mean_pixels_per_frame"] == sum(pixels) / 8
 
     timing_row = json.loads((out / "timing.jsonl").read_text().splitlines()[0])
-    assert set(timing_row) == {"frame", "full_frame_s", "crops_s", "proposal_s", "filter_s", "total_s"}
+    assert set(timing_row) == {"frame", "full_frame_s", "crops_s", "nms_s", "proposal_s", "filter_s", "total_s"}
 
     perf = json.loads((out / "perf.json").read_text())
     assert perf["fps"] > 0
@@ -442,6 +442,30 @@ def test_eval_rejects_bad_prediction_rows(tmp_path, scene_path, capsys):
 
     predictions.write_text("not json\n")
     assert run_cli("eval", "--annotations", scene_path, "--predictions", predictions) == 1
+    capsys.readouterr()
+
+    # json reads 1e400 as inf, which int() cannot convert
+    predictions.write_text('{"frame": 1e400, "detections": []}\n')
+    assert run_cli("eval", "--annotations", scene_path, "--predictions", predictions) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {predictions}:1")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"width": 1e400, "height": 1080, "frames": [[]]}',
+    '{"width": 1920, "height": 1080, "frames": [[{"object_id": 1e400, '
+    '"x_min": 0, "y_min": 0, "x_max": 10, "y_max": 20}]]}',
+])
+def test_run_rejects_overflowing_annotation_number(tmp_path, capsys, text):
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("run", "--annotations", path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- bench

@@ -1,15 +1,15 @@
 from __future__ import annotations
 
+import math
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cropdet.crop_proposal import (
     COVERAGE_MIN,
     Crop,
     CropTierConfig,
-    DisjointSetForest,
     LARGE_TIER_DEFAULT,
     SMALL_TIER_DEFAULT,
     Tree,
@@ -20,8 +20,8 @@ from cropdet.crop_proposal import (
     select_largest_k,
     two_tier_proposal,
 )
-from cropdet.geometry import BoundingBox, FrameDims, intersection_area
-from naive_reference import naive_forest, naive_tree_rect, random_boxes
+from cropdet.geometry import BoundingBox, FrameDims, grid_cell, intersection_area
+from naive_reference import naive_edges_scanned, naive_forest, naive_tree_rect, random_boxes
 
 DIMS = FrameDims(1920, 1080)
 
@@ -103,6 +103,57 @@ def test_partition_matches_naive_reference():
         assert [t.members for t in forest.trees] == naive_forest(boxes, k, max_w, max_h), (
             f"trial {trial}"
         )
+        scanned, merges = naive_edges_scanned(boxes, k, max_w, max_h)
+        assert (forest.edges_scanned, list(forest.merged_edges)) == (scanned, merges)
+
+
+# tiny to huge crop caps
+CAPS = (1e-3, 0.75, 30.0, 160.0, 448.0, 1e12)
+
+
+@st.composite
+def sweep_cases(draw):
+    """Boxes whose centers sit on a lattice of the grid cell, the reach or
+    the caps, so centers fall exactly on cell borders, pairs lie exactly
+    at the cap, and centers repeat (tied weights); k runs from 1 to n+1."""
+    max_w = draw(st.sampled_from(CAPS))
+    max_h = draw(st.sampled_from(CAPS))
+    reach = math.hypot(max_w, max_h)
+    # the cell propose_crops uses when coordinates are small next to reach
+    cell = grid_cell(reach * (1.0 + 2.0**-40), 0.0)
+    unit_x, unit_y = draw(st.sampled_from(
+        [(cell, cell), (reach, reach), (max_w, max_h), (max_w, cell), (10.0, 10.0), (1e5, 1e5)]
+    ))
+    # points merge exactly at the cap; boxes of a few sizes do not
+    points = draw(st.booleans())
+    n = draw(st.integers(1, 12))
+    boxes = []
+    for _ in range(n):
+        cx = draw(st.integers(-2, 3)) * unit_x
+        cy = draw(st.integers(-2, 3)) * unit_y
+        half_w = half_h = 0.0
+        if not points:
+            half_w = draw(st.sampled_from((0.0, 0.5, max_w / 4.0, max_w / 2.0, 20.0)))
+            half_h = draw(st.sampled_from((0.0, 0.5, max_h / 4.0, max_h / 2.0, 20.0)))
+        boxes.append(BoundingBox(cx - half_w, cy - half_h, cx + half_w, cy + half_h))
+    k = draw(st.integers(1, n + 1))
+    return boxes, k, max_w, max_h
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_cases())
+# two points exactly one cap apart on each axis: the edge is as long as
+# the reach and still merges
+@example(([BoundingBox(0.0, 0.0, 0.0, 0.0), BoundingBox(30.0, 160.0, 30.0, 160.0)], 1, 30.0, 160.0))
+def test_pruned_sweep_matches_full_sweep(case):
+    boxes, k, max_w, max_h = case
+    forest = propose_crops(boxes, k, max_w, max_h)
+    assert [t.members for t in forest.trees] == naive_forest(boxes, k, max_w, max_h)
+    scanned, merges = naive_edges_scanned(boxes, k, max_w, max_h)
+    assert forest.edges_scanned == scanned
+    assert list(forest.merged_edges) == merges
+    for tree in forest.trees:
+        assert tree.rect == naive_tree_rect(boxes, tree.members)
 
 
 def test_select_all_when_under_budget():
@@ -278,21 +329,6 @@ def test_forest_trees_respect_size_cap(boxes, k):
         if tree.node_count > 1:
             assert tree.rect.width <= 448.0
             assert tree.rect.height <= 256.0
-
-
-def test_disjoint_set_forest_aggregates():
-    rects = [BoundingBox(0.0, 0.0, 10.0, 10.0), BoundingBox(20.0, 0.0, 30.0, 10.0),
-             BoundingBox(0.0, 20.0, 10.0, 30.0)]
-    dsf = DisjointSetForest(rects)
-    assert dsf.tree_count == 3
-    merged = BoundingBox(0.0, 0.0, 30.0, 10.0)
-    root = dsf.union(dsf.find(0), dsf.find(1), merged)
-    assert dsf.tree_count == 2
-    assert dsf.find(0) == dsf.find(1) == root
-    assert dsf.rect(root) == merged
-    assert dsf.count(root) == 2
-    with pytest.raises(ValueError):
-        dsf.union(root, root, merged)
 
 
 def test_tier_config_validation():

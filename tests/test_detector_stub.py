@@ -318,3 +318,16 @@ def test_oracle_config_validation():
         OracleConfig(jitter_fraction=-0.1)
     with pytest.raises(ValueError):
         OracleConfig(base_confidence=2.0)
+
+
+def test_external_detector_closes_child_stdout(responder_cmd, protocol_dir):
+    detector = ExternalProcessDetector(responder_cmd("empty"), timeout=10.0)
+    detector.close()
+    assert detector._proc.stdout.closed
+
+    # a failed request kills the child; its stdout is closed at once
+    broken = ExternalProcessDetector(responder_cmd("file", str(protocol_dir / "eof.txt")), timeout=10.0)
+    with pytest.raises(ProtocolError):
+        broken.detect(0, BoundingBox(0.0, 0.0, 50.0, 50.0), 100, 100)
+    assert broken._proc.stdout.closed
+    broken.close()

@@ -13,6 +13,7 @@ from cropdet.geometry import (
     enclosing_rect,
     intersection_area,
     iou,
+    rect_iou,
     to_crop_coords,
     to_frame_coords,
 )
@@ -176,6 +177,11 @@ def test_iou_identity(box):
 @given(boxes(), boxes())
 def test_iou_bounded(a, b):
     assert 0.0 <= iou(a, b) <= 1.0
+
+
+@given(boxes(), boxes())
+def test_rect_iou_equals_iou(a, b):
+    assert rect_iou(a.as_tuple(), b.as_tuple()) == iou(a, b)
 
 
 @given(st.tuples(int_boxes(), int_boxes()))

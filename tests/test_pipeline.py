@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cropdet.crop_proposal import Crop
 from cropdet.detections import Detection
 from cropdet.detector_stub import OracleConfig, OracleDetector
-from cropdet.geometry import BoundingBox, FrameDims
+from cropdet.geometry import BoundingBox, FrameDims, grid_cell
 from cropdet.pipeline import (
     FrameProcessingError,
     FrameState,
@@ -19,6 +20,7 @@ from cropdet.pipeline import (
     timing_to_dict,
 )
 from cropdet.synthetic import fidelity_scene
+from naive_reference import naive_nms
 
 DIMS = FrameDims(1920, 1080)
 
@@ -112,6 +114,47 @@ def test_nms_threshold_is_strict():
 def test_merge_orders_by_confidence():
     kept = merge_detections([[det(0.3, 0.0), det(0.9, 100.0)]], nms_iou=0.45)
     assert [d.confidence for d in kept] == [0.9, 0.3]
+
+
+def test_merge_rejects_negative_threshold():
+    with pytest.raises(ValueError):
+        merge_detections([[det(0.9, 0.0)]], nms_iou=-0.1)
+
+
+@st.composite
+def detection_groups(draw):
+    """Groups of detections whose minimum corners sit on lattices of the
+    NMS grid cell and of the largest box size, so corners fall exactly on
+    cell borders, boxes touch, and boxes repeat; confidences tie often."""
+    width = draw(st.sampled_from((0.0, 1.0, 12.0, 40.0)))
+    height = draw(st.sampled_from((0.0, 3.0, 25.0, 90.0)))
+    # the first box is the largest, so the grid cell is known here
+    units_x = (grid_cell(width, 0.0), width, 7.0)
+    units_y = (grid_cell(height, 0.0), height, 7.0)
+    n = draw(st.integers(1, 30))
+    dets = []
+    for i in range(n):
+        x = draw(st.integers(-3, 6)) * draw(st.sampled_from(units_x))
+        y = draw(st.integers(-3, 6)) * draw(st.sampled_from(units_y))
+        w = width if i == 0 else draw(st.sampled_from((0.0, width / 2.0, width)))
+        h = height if i == 0 else draw(st.sampled_from((0.0, height / 2.0, height)))
+        conf = draw(st.sampled_from((0.1, 0.5, 0.9)))
+        dets.append(Detection(BoundingBox(x, y, x + w, y + h), conf, source=f"crop:{i}"))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    groups = [dets[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    return groups, dets
+
+
+_KEPT = det(0.9, 5.0, 5.0, 10.0, 10.0)
+_DIAGONAL = det(0.5, 10.5, 10.5, 10.0, 10.0)  # the next cell on both axes
+
+
+@settings(max_examples=200, deadline=None)
+@given(detection_groups(), st.sampled_from((0.0, 0.45, 1.0)))
+@example(([[_KEPT, _DIAGONAL]], [_KEPT, _DIAGONAL]), 0.0)
+def test_merge_matches_naive_nms(case, nms_iou):
+    groups, flat = case
+    assert merge_detections(groups, nms_iou) == naive_nms(flat, nms_iou)
 
 
 def test_detection_remap_and_source_tagging():
@@ -216,7 +259,7 @@ def test_frame_result_serialization_fields():
     assert record["frame"] == 1
     assert len(record["crops"]) == len(results[1].crops_used)
     timing = timing_to_dict(results[1])
-    assert set(timing) == {"frame", "full_frame_s", "crops_s", "proposal_s", "filter_s", "total_s"}
+    assert set(timing) == {"frame", "full_frame_s", "crops_s", "nms_s", "proposal_s", "filter_s", "total_s"}
     assert timing["total_s"] >= 0.0
 
 
