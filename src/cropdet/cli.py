@@ -26,7 +26,7 @@ from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .crop_proposal import proposal_debug_dump, two_tier_proposal
+from .crop_proposal import crop_to_dict, two_tier_proposal
 from .datasets_eval import (
     AnnotationParseError,
     AnnotationSet,
@@ -341,7 +341,12 @@ def cmd_propose(args: argparse.Namespace) -> int:
     large, small, _ = two_tier_proposal(
         boxes, pipeline_cfg.large_tier, pipeline_cfg.small_tier, annotations.dims
     )
-    print(json.dumps(proposal_debug_dump(args.frame, large, small), sort_keys=True, indent=2))
+    plan = {
+        "frame": args.frame,
+        "large_crops": [crop_to_dict(c) for c in large],
+        "small_crops": [crop_to_dict(c) for c in small],
+    }
+    print(json.dumps(plan, sort_keys=True, indent=2))
     return 0
 
 

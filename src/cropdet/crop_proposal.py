@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import NEIGHBOURHOOD, BoundingBox, FrameDims, Rect, grid_cell, require_finite
+from .geometry import NEIGHBOURHOOD, BoundingBox, FrameDims, grid_cell, require_finite
 
 # A box counts as covered once at least this fraction of its area lies
 # inside some already-proposed crop region.
@@ -124,7 +124,7 @@ def propose_crops(
     if n <= k:
         return CropForest(tuple(Tree((i,), box) for i, box in enumerate(boxes)), (), 0)
 
-    rects = [box.as_tuple() for box in boxes]
+    rects = list(boxes)
     centers = [((x0 + x1) / 2.0, (y0 + y1) / 2.0) for x0, y0, x1, y1 in rects]
     # the margin covers math.hypot's sub-ulp error on reach and on the weights
     reach = math.hypot(max_width, max_height) * (1.0 + 2.0**-40)
@@ -259,7 +259,7 @@ def expand_crop(rect: BoundingBox, tier: CropTierConfig, frame: FrameDims) -> Bo
     return BoundingBox(x_min, y_min, x_max, y_max)
 
 
-def _covered(box: Rect, region: Rect) -> bool:
+def _covered(box: BoundingBox, region: BoundingBox) -> bool:
     x_min, y_min, x_max, y_max = box
     area = (x_max - x_min) * (y_max - y_min)
     if area <= 0.0:
@@ -292,7 +292,6 @@ def two_tier_proposal(
     boxes = list(boxes)
     if not boxes:
         return [], [], frozenset()
-    rects = [box.as_tuple() for box in boxes]
 
     large_crops: list[Crop] = []
     if large_tier.k > 0:
@@ -300,9 +299,9 @@ def two_tier_proposal(
         selected = select_largest_k(forest, large_tier.k)
         large_crops = [_make_crop(t.rect, large_tier, frame, t.members) for t in selected]
 
-    regions = [crop.region.as_tuple() for crop in large_crops]
+    regions = [crop.region for crop in large_crops]
     uncovered = [
-        i for i, rect in enumerate(rects) if not any(_covered(rect, r) for r in regions)
+        i for i, box in enumerate(boxes) if not any(_covered(box, r) for r in regions)
     ]
 
     small_crops: list[Crop] = []
@@ -314,9 +313,9 @@ def two_tier_proposal(
             members = tuple(uncovered[j] for j in tree.members)
             small_crops.append(_make_crop(tree.rect, small_tier, frame, members))
 
-    regions = [crop.region.as_tuple() for crop in small_crops]
+    regions = [crop.region for crop in small_crops]
     still_uncovered = frozenset(
-        i for i in uncovered if not any(_covered(rects[i], r) for r in regions)
+        i for i in uncovered if not any(_covered(boxes[i], r) for r in regions)
     )
     return large_crops, small_crops, still_uncovered
 
@@ -333,10 +332,3 @@ def crop_to_dict(crop: Crop) -> dict:
         "members": list(crop.members),
     }
 
-
-def proposal_debug_dump(frame_index: int, large: Sequence[Crop], small: Sequence[Crop]) -> dict:
-    return {
-        "frame": frame_index,
-        "large_crops": [crop_to_dict(c) for c in large],
-        "small_crops": [crop_to_dict(c) for c in small],
-    }

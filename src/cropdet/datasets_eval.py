@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -88,29 +88,50 @@ class AnnotationSet:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> AnnotationSet:
+    def from_json_dict(cls, data: dict, source: str = "annotation JSON") -> AnnotationSet:
+        """The set from its JSON form, every value type-checked; an error
+        names `source` and the frame and object index it occurred at."""
+        f = j = None
         try:
-            dims = FrameDims(int(data["width"]), int(data["height"]))
-            frames = tuple(
-                tuple(
-                    GroundTruth(
-                        box=BoundingBox(
-                            float(gt["x_min"]),
-                            float(gt["y_min"]),
-                            float(gt["x_max"]),
-                            float(gt["y_max"]),
-                        ),
-                        object_id=int(gt["object_id"]),
-                        category=int(gt.get("category", PEDESTRIAN_CATEGORY)),
-                        ignore=bool(gt.get("ignore", False)),
-                    )
-                    for gt in frame
-                )
-                for frame in data["frames"]
-            )
+            width, height = data["width"], data["height"]
+            if type(width) is not int or type(height) is not int:
+                raise TypeError(f"width and height must be int, got {json.dumps([width, height])}")
+            dims = FrameDims(width, height)
+            frames = []
+            for f, frame in enumerate(data["frames"]):
+                j = None
+                objects = []
+                for j, gt in enumerate(frame):
+                    x0, y0, x1, y1 = gt["x_min"], gt["y_min"], gt["x_max"], gt["y_max"]
+                    object_id = gt["object_id"]
+                    category = gt.get("category", PEDESTRIAN_CATEGORY)
+                    ignore = gt.get("ignore", False)
+                    if not ({type(x0), type(y0), type(x1), type(y1)} <= {int, float}
+                            and type(object_id) is int and type(category) is int
+                            and type(ignore) is bool):
+                        raise TypeError(_mistyped(gt))
+                    box = BoundingBox(float(x0), float(y0), float(x1), float(y1))
+                    objects.append(GroundTruth(box, object_id, category, ignore))
+                frames.append(tuple(objects))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise AnnotationParseError(f"bad annotation JSON: {exc}") from exc
-        return cls(dims=dims, frames=frames)
+            where = source if f is None else f"{source}: frame {f}"
+            where += "" if j is None else f", object {j}"
+            raise AnnotationParseError(f"{where}: bad annotation JSON: {exc}") from exc
+        return cls(dims=dims, frames=tuple(frames))
+
+
+# the JSON types of an annotation object's values, compared by type(),
+# so that a boolean is neither a number nor an integer
+_OBJECT_TYPES = {
+    "x_min": (int, float), "y_min": (int, float), "x_max": (int, float), "y_max": (int, float),
+    "object_id": (int,), "category": (int,), "ignore": (bool,),
+}
+
+
+def _mistyped(gt: dict) -> str:
+    """What is wrong with the first value of `gt` of the wrong type."""
+    key, kinds = next((k, t) for k, t in _OBJECT_TYPES.items() if k in gt and type(gt[k]) not in t)
+    return f"{key} must be {kinds[-1].__name__}, got {json.dumps(gt[key])}"
 
 
 def save_annotations(annotations: AnnotationSet, path: str | Path) -> None:
@@ -125,7 +146,7 @@ def load_annotations(path: str | Path) -> AnnotationSet:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise AnnotationParseError(f"{path}: {exc}") from exc
-    return AnnotationSet.from_json_dict(data)
+    return AnnotationSet.from_json_dict(data, str(path))
 
 
 def _grow_to(frames: list[list[GroundTruth]], index: int) -> None:
@@ -233,7 +254,6 @@ def parse_darklabel(path: str | Path, dims: FrameDims) -> AnnotationSet:
 
 @dataclass(frozen=True)
 class EvalReport:
-    ap_per_class: dict[int, float]
     mean_ap: float
     pr_curve: list[tuple[float, float]]
     true_positives: int
@@ -248,7 +268,6 @@ class EvalReport:
     def to_json_dict(self) -> dict:
         return {
             "mean_ap": self.mean_ap,
-            "ap_per_class": {str(k): v for k, v in sorted(self.ap_per_class.items())},
             "true_positives": self.true_positives,
             "false_positives": self.false_positives,
             "false_negatives": self.false_negatives,
@@ -288,7 +307,7 @@ def _interpolated_ap(recalls: list[float], precisions: list[float], interpolatio
 
 
 def evaluate_map(
-    predictions: Mapping[int, Sequence[Detection]] | Sequence[Sequence[Detection]],
+    predictions: Mapping[int, Sequence[Detection]],
     truth: AnnotationSet,
     iou_threshold: float = 0.5,
     interpolation: str = "all_point",
@@ -301,21 +320,15 @@ def evaluate_map(
     one precision/recall curve (sweep order: confidence desc, then frame,
     then per-frame rank) and integrated with the chosen interpolation.
 
-    Predictions may be a frame->detections mapping or a list indexed by
-    frame; frames without an entry contribute only their ground truth.
+    Predictions map a frame index to its detections; frames without an
+    entry contribute only their ground truth.
     """
     if interpolation not in ("all_point", "eleven_point"):
         raise ValueError(f"unknown interpolation {interpolation!r}")
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
 
-    per_frame: dict[int, list[Detection]] = {}
-    if isinstance(predictions, Mapping):
-        items = predictions.items()
-    else:
-        items = enumerate(predictions)
-    for frame, dets in items:
-        per_frame.setdefault(int(frame), []).extend(dets)
+    per_frame = {int(frame): dets for frame, dets in predictions.items()}
 
     out_of_range = sorted(f for f in per_frame if not 0 <= f < truth.frame_count)
     if out_of_range:
@@ -365,7 +378,6 @@ def evaluate_map(
         ap = _interpolated_ap(recalls, precisions, interpolation)
 
     return EvalReport(
-        ap_per_class={PEDESTRIAN_CATEGORY: ap},
         mean_ap=ap,
         pr_curve=list(zip(recalls, precisions)),
         true_positives=tp_total,

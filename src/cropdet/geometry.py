@@ -7,33 +7,34 @@ grids only ever happens at detector boundaries, never here.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
-# A box as a plain (x_min, y_min, x_max, y_max) tuple, for the per-frame
-# loops where building a validated BoundingBox per operation dominates.
-Rect = tuple[float, float, float, float]
+class BoundingBox(namedtuple("BoundingBox", "x_min y_min x_max y_max")):
+    """Axis-aligned rectangle, corners (x_min, y_min) to (x_max, y_max).
 
+    A validated 4-tuple: every construction path, _make and _replace
+    included, rejects a non-finite or inverted box, and hot loops may
+    index or unpack it as (x_min, y_min, x_max, y_max).
+    """
 
-@dataclass(frozen=True, slots=True)
-class BoundingBox:
-    """Axis-aligned rectangle, corners (x_min, y_min) to (x_max, y_max)."""
+    __slots__ = ()
 
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
+    def __new__(cls, x_min: float, y_min: float, x_max: float, y_max: float) -> BoundingBox:
+        finite = math.isfinite
+        if not (finite(x_min) and finite(y_min) and finite(x_max) and finite(y_max)):
+            for name, value in zip(cls._fields, (x_min, y_min, x_max, y_max)):
+                if not finite(value):
+                    raise ValueError(f"non-finite coordinate {name}={value!r}")
+        if x_min > x_max or y_min > y_max:
+            raise ValueError(f"inverted box: ({x_min}, {y_min}, {x_max}, {y_max})")
+        return tuple.__new__(cls, (x_min, y_min, x_max, y_max))
 
-    def __post_init__(self) -> None:
-        for name in ("x_min", "y_min", "x_max", "y_max"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite coordinate {name}={value!r}")
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise ValueError(
-                f"inverted box: ({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
-            )
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> BoundingBox:
+        return cls(*iterable)
 
     @property
     def width(self) -> float:
@@ -45,7 +46,8 @@ class BoundingBox:
 
     @property
     def area(self) -> float:
-        return self.width * self.height
+        x_min, y_min, x_max, y_max = self
+        return (x_max - x_min) * (y_max - y_min)
 
     @property
     def center(self) -> tuple[float, float]:
@@ -69,9 +71,6 @@ class BoundingBox:
         if x_max <= x_min or y_max <= y_min:
             return None
         return BoundingBox(x_min, y_min, x_max, y_max)
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,11 @@ def require_finite(config: object) -> None:
 
 def intersection_area(a: BoundingBox, b: BoundingBox) -> float:
     """Area of the overlap region; 0.0 when the boxes do not overlap."""
-    w = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    h = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    # min() and max() inlined, here and in iou: same results, a fraction of the time
+    w = (ax1 if ax1 < bx1 else bx1) - (ax0 if ax0 > bx0 else bx0)
+    h = (ay1 if ay1 < by1 else by1) - (ay0 if ay0 > by0 else by0)
     if w <= 0.0 or h <= 0.0:
         return 0.0
     return w * h
@@ -109,24 +111,16 @@ def intersection_area(a: BoundingBox, b: BoundingBox) -> float:
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union in [0, 1]; 0 for disjoint or zero-area boxes."""
-    inter = intersection_area(a, b)
-    if inter <= 0.0:
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    w = (ax1 if ax1 < bx1 else bx1) - (ax0 if ax0 > bx0 else bx0)
+    if w <= 0.0:
         return 0.0
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
-def rect_iou(a: Rect, b: Rect) -> float:
-    """iou of two Rect tuples, with the same float operations in the same
-    order, so the two agree exactly."""
-    w = min(a[2], b[2]) - max(a[0], b[0])
-    h = min(a[3], b[3]) - max(a[1], b[1])
-    if w <= 0.0 or h <= 0.0:
+    h = (ay1 if ay1 < by1 else by1) - (ay0 if ay0 > by0 else by0)
+    if h <= 0.0:
         return 0.0
     inter = w * h
-    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
@@ -156,23 +150,6 @@ def center_distance(a: BoundingBox, b: BoundingBox) -> float:
     return math.hypot(ax - bx, ay - by)
 
 
-def enclosing_rect(boxes: Sequence[BoundingBox] | Iterable[BoundingBox]) -> BoundingBox:
-    """Smallest axis-aligned rectangle containing every input box.
-
-    Raises ValueError on an empty input; callers must not ask for the
-    enclosure of nothing.
-    """
-    boxes = list(boxes)
-    if not boxes:
-        raise ValueError("enclosing_rect requires at least one box")
-    return BoundingBox(
-        min(b.x_min for b in boxes),
-        min(b.y_min for b in boxes),
-        max(b.x_max for b in boxes),
-        max(b.y_max for b in boxes),
-    )
-
-
 def clamp_box(box: BoundingBox, dims: FrameDims) -> BoundingBox:
     """Clamp every coordinate into the frame; may return a zero-area box."""
     w, h = float(dims.width), float(dims.height)
@@ -186,7 +163,7 @@ def clamp_box(box: BoundingBox, dims: FrameDims) -> BoundingBox:
 
 def _check_region(region: BoundingBox, target_width: float, target_height: float) -> None:
     if region.area <= 0.0:
-        raise ValueError(f"zero-area crop region: {region.as_tuple()}")
+        raise ValueError(f"zero-area crop region: {tuple(region)}")
     if target_width <= 0 or target_height <= 0:
         raise ValueError(f"target resolution must be positive, got {target_width}x{target_height}")
 

@@ -30,9 +30,8 @@ from .geometry import (
     NEIGHBOURHOOD,
     BoundingBox,
     FrameDims,
-    Rect,
     grid_cell,
-    rect_iou,
+    iou,
     require_finite,
     to_frame_coords,
 )
@@ -132,23 +131,23 @@ def merge_detections(groups: Sequence[Sequence[Detection]], nms_iou: float) -> l
     flat = [det for group in groups for det in group]
     if not flat:
         return []
-    rects = [det.box.as_tuple() for det in flat]
-    span = max(max(abs(r[0]), abs(r[1])) for r in rects)
-    cell_w = grid_cell(max(r[2] - r[0] for r in rects), span)
-    cell_h = grid_cell(max(r[3] - r[1] for r in rects), span)
+    boxes = [det.box for det in flat]
+    span = max(max(abs(b[0]), abs(b[1])) for b in boxes)
+    cell_w = grid_cell(max(b[2] - b[0] for b in boxes), span)
+    cell_h = grid_cell(max(b[3] - b[1] for b in boxes), span)
     order = sorted(range(len(flat)), key=lambda i: (-flat[i].confidence, i))
-    grid: dict[tuple[int, int], list[Rect]] = {}
+    grid: dict[tuple[int, int], list[BoundingBox]] = {}
     kept: list[Detection] = []
     for i in order:
-        rect = rects[i]
-        gx, gy = math.floor(rect[0] / cell_w), math.floor(rect[1] / cell_h)
+        box = boxes[i]
+        gx, gy = math.floor(box[0] / cell_w), math.floor(box[1] / cell_h)
         if all(
-            rect_iou(rect, other) <= nms_iou
+            iou(box, other) <= nms_iou
             for dx, dy in NEIGHBOURHOOD
             for other in grid.get((gx + dx, gy + dy), ())
         ):
             kept.append(flat[i])
-            grid.setdefault((gx, gy), []).append(rect)
+            grid.setdefault((gx, gy), []).append(box)
     return kept
 
 
@@ -166,7 +165,7 @@ def _call_detector(
         raise FrameProcessingError(
             frame_index,
             region,
-            f"detector failed on frame {frame_index}, region {region.as_tuple()}: {exc}",
+            f"detector failed on frame {frame_index}, region {tuple(region)}: {exc}",
         ) from exc
 
 

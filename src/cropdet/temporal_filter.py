@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .detections import Detection
-from .geometry import rect_iou, require_finite
+from .geometry import iou, require_finite
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,12 @@ def filter_detections(
     """
     accepted: list[Detection] = []
     genuine_next: list[Detection] = []
-    prev_rects = [prev.box.as_tuple() for prev in genuine_prev]
     for det in candidates:
         if det.confidence >= config.conf_genuine:
             accepted.append(det)
             genuine_next.append(det)
-        elif det.confidence < config.conf_floor:
-            continue
-        else:
-            rect = det.box.as_tuple()
-            if any(rect_iou(rect, prev) >= config.overlap_min for prev in prev_rects):
-                accepted.append(replace(det, resurrected=True))
+        elif det.confidence >= config.conf_floor and any(
+            iou(det.box, prev.box) >= config.overlap_min for prev in genuine_prev
+        ):
+            accepted.append(replace(det, resurrected=True))
     return accepted, genuine_next

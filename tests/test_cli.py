@@ -468,6 +468,39 @@ def test_run_rejects_overflowing_annotation_number(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [
+    {"ignore": "false"},
+    {"x_min": "10"},
+    {"y_max": True},
+    {"category": True},
+    {"category": 1.0},
+    {"object_id": 2.5},
+])
+def test_run_rejects_mistyped_annotation_value(tmp_path, capsys, bad):
+    good = {"object_id": 1, "x_min": 0, "y_min": 0, "x_max": 10.5, "y_max": 20, "ignore": False}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(
+        {"width": 1920, "height": 1080, "frames": [[good], [good, dict(good, **bad)]]}
+    ))
+    assert run_cli("run", "--annotations", path, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    [(key, value)] = bad.items()
+    assert err.startswith(f"error: {path}: frame 1, object 1: ")
+    assert f"{key} must be" in err and json.dumps(value) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dims", [{"width": "1920"}, {"height": 1080.0}, {"width": True}])
+def test_run_rejects_mistyped_frame_size(tmp_path, capsys, dims):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"width": 1920, "height": 1080, "frames": [[]], **dims}))
+    assert run_cli("run", "--annotations", path, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "must be int" in err
+    assert err.count("\n") == 1
+
+
 # ------------------------------------------------------------------- bench
 
 

@@ -15,7 +15,6 @@ from cropdet.crop_proposal import (
     Tree,
     crop_to_dict,
     expand_crop,
-    proposal_debug_dump,
     propose_crops,
     select_largest_k,
     two_tier_proposal,
@@ -354,7 +353,3 @@ def test_crop_serialization_fields():
         "target_h": 128,
         "members": [0, 2],
     }
-    dump = proposal_debug_dump(7, [crop], [])
-    assert set(dump) == {"frame", "large_crops", "small_crops"}
-    assert dump["frame"] == 7
-    assert dump["small_crops"] == []

@@ -225,7 +225,6 @@ def test_ap_half_from_one_hit_one_miss():
     predictions = {0: [det(100.0, 100.0, 20.0, 40.0, 0.9), det(900.0, 900.0, 20.0, 40.0, 0.8)]}
     report = evaluate_map(predictions, truth)
     assert report.mean_ap == 0.5
-    assert report.ap_per_class == {1: 0.5}
     assert report.true_positives == 1
     assert report.false_positives == 1
     assert report.false_negatives == 1
@@ -247,9 +246,9 @@ def test_perfect_predictions_score_exactly_one():
         tuple(gt(10.0 * j, 50.0, 8.0, 16.0, object_id=j) for j in range(1, 12)) for _ in range(3)
     )
     truth = AnnotationSet(dims=DIMS, frames=frames)
-    predictions = [
-        [Detection(g.box, 0.9) for g in truth.eval_boxes(f)] for f in range(truth.frame_count)
-    ]
+    predictions = {
+        f: [Detection(g.box, 0.9) for g in truth.eval_boxes(f)] for f in range(truth.frame_count)
+    }
     report = evaluate_map(predictions, truth)
     assert report.mean_ap == 1.0
     assert report.false_positives == 0
@@ -290,13 +289,6 @@ def test_greedy_matching_prefers_confident_predictions():
     assert report.pr_curve[0] == (1.0, 1.0)
 
 
-def test_predictions_as_sequence_match_mapping():
-    truth = AnnotationSet(dims=DIMS, frames=((gt(0.0, 0.0, 10.0, 10.0),), ()))
-    as_map = evaluate_map({0: [det(0.0, 0.0, 10.0, 10.0, 0.9)], 1: []}, truth)
-    as_list = evaluate_map([[det(0.0, 0.0, 10.0, 10.0, 0.9)], []], truth)
-    assert as_map == as_list
-
-
 def test_out_of_range_frames_rejected():
     truth = one_frame(gt(0.0, 0.0, 10.0, 10.0))
     with pytest.raises(EvaluationError) as err:
@@ -322,7 +314,7 @@ def test_report_json_dict_and_pr_csv(tmp_path):
     report = evaluate_map(predictions, truth)
     data = report.to_json_dict()
     assert data["mean_ap"] == 0.5
-    assert data["ap_per_class"] == {"1": 0.5}
+    assert "ap_per_class" not in data
     assert "fps" not in data
     assert data["mean_pixels_per_frame"] is None
     assert data["pr_curve"] == [[0.5, 1.0], [0.5, 0.5]]

@@ -10,10 +10,8 @@ from cropdet.geometry import (
     FrameDims,
     center_distance,
     clamp_box,
-    enclosing_rect,
     intersection_area,
     iou,
-    rect_iou,
     to_crop_coords,
     to_frame_coords,
 )
@@ -56,6 +54,30 @@ def test_box_rejects_non_finite_coordinates():
         BoundingBox(float("nan"), 0.0, 5.0, 5.0)
     with pytest.raises(ValueError):
         BoundingBox(0.0, 0.0, float("inf"), 5.0)
+
+
+def test_box_is_a_validated_tuple():
+    box = BoundingBox(1.0, 2.0, 3.0, 4.0)
+    x_min, y_min, x_max, y_max = box
+    assert (x_min, y_min, x_max, y_max) == (1.0, 2.0, 3.0, 4.0)
+    assert (box.x_min, box.y_min, box.x_max, box.y_max) == (1.0, 2.0, 3.0, 4.0)
+    assert BoundingBox._make([1.0, 2.0, 3.0, 4.0]) == box
+    assert box._replace(x_max=5.0) == BoundingBox(1.0, 2.0, 5.0, 4.0)
+    nan = float("nan")
+    for build in (
+        lambda: BoundingBox(nan, 2.0, 3.0, 4.0),
+        lambda: BoundingBox(1.0, 2.0, 0.0, 4.0),
+        lambda: BoundingBox._make((1.0, nan, 3.0, 4.0)),
+        lambda: BoundingBox._make((1.0, 2.0, 3.0, 1.0)),
+        lambda: box._replace(x_max=nan),
+        lambda: box._replace(y_min=5.0),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    with pytest.raises(AttributeError):
+        box.x_min = 0.0
+    with pytest.raises(AttributeError):
+        box.label = "walker"
 
 
 def test_zero_area_box_is_allowed():
@@ -109,18 +131,6 @@ def test_center_distance_known_value():
     assert center_distance(a, b) == 12.0
 
 
-def test_enclosing_rect():
-    rect = enclosing_rect(
-        [BoundingBox(0.0, 5.0, 10.0, 20.0), BoundingBox(-3.0, 8.0, 4.0, 30.0)]
-    )
-    assert rect == BoundingBox(-3.0, 5.0, 10.0, 30.0)
-
-
-def test_enclosing_rect_empty_raises():
-    with pytest.raises(ValueError):
-        enclosing_rect([])
-
-
 def test_clamp_box():
     dims = FrameDims(100, 50)
     assert clamp_box(BoundingBox(-10.0, -5.0, 60.0, 40.0), dims) == BoundingBox(0.0, 0.0, 60.0, 40.0)
@@ -153,7 +163,7 @@ def test_to_crop_coords_inverts_to_frame_coords():
     box = BoundingBox(150.0, 60.0, 200.0, 120.0)
     local = to_crop_coords(box, region, 160, 96)
     back = to_frame_coords(local, region, 160, 96)
-    assert back.as_tuple() == pytest.approx(box.as_tuple())
+    assert back == pytest.approx(box)
 
 
 def test_transforms_reject_zero_area_region():
@@ -179,30 +189,12 @@ def test_iou_bounded(a, b):
     assert 0.0 <= iou(a, b) <= 1.0
 
 
-@given(boxes(), boxes())
-def test_rect_iou_equals_iou(a, b):
-    assert rect_iou(a.as_tuple(), b.as_tuple()) == iou(a, b)
-
-
 @given(st.tuples(int_boxes(), int_boxes()))
 def test_iou_matches_pixel_counting(pair):
     a, b = pair
     expected = pixel_iou(a, b)
     got = iou(BoundingBox(*map(float, a)), BoundingBox(*map(float, b)))
     assert got == pytest.approx(expected)
-
-
-@given(st.lists(boxes(), min_size=1, max_size=8), st.randoms())
-def test_enclosing_rect_permutation_invariant(all_boxes, rng):
-    shuffled = list(all_boxes)
-    rng.shuffle(shuffled)
-    assert enclosing_rect(all_boxes) == enclosing_rect(shuffled)
-
-
-@given(st.lists(boxes(), min_size=1, max_size=8))
-def test_enclosing_rect_contains_all(all_boxes):
-    rect = enclosing_rect(all_boxes)
-    assert all(rect.contains(b) for b in all_boxes)
 
 
 @given(boxes(), boxes(), boxes())
@@ -220,5 +212,5 @@ def test_coordinate_round_trip(box, region_parts, target_w, target_h):
     rx, ry, rw, rh = region_parts
     region = BoundingBox(rx, ry, rx + rw, ry + rh)
     back = to_frame_coords(to_crop_coords(box, region, target_w, target_h), region, target_w, target_h)
-    for got, expected in zip(back.as_tuple(), box.as_tuple()):
+    for got, expected in zip(back, box):
         assert got == pytest.approx(expected, abs=1e-9)

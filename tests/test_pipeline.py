@@ -174,7 +174,7 @@ def test_detection_remap_and_source_tagging():
     assert len(result.detections) == 1
     out = result.detections[0]
     assert out.source == "crop:0"
-    assert out.box.as_tuple() == pytest.approx(scene_gt.as_tuple())
+    assert out.box == pytest.approx(scene_gt)
     assert result.pixels_processed == 224 * 128
 
 
