@@ -180,6 +180,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise CliError(f"{config_path}: not valid JSON ({exc})") from exc
+            except RecursionError:
+                raise CliError(f"{config_path}: JSON nested too deeply") from None
         if not isinstance(data, dict):
             raise CliError(f"{config_path}: config must be a JSON object")
         unknown = sorted(set(data) - set(DEFAULTS))
@@ -361,7 +363,8 @@ def _read_predictions(path: str) -> dict[int, list[Detection]]:
                 row = json.loads(line)
                 frame = int(row["frame"])
                 dets = [detection_from_dict(d) for d in row["detections"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError,
+                    RecursionError) as exc:
                 raise CliError(f"{path}:{lineno}: bad prediction row ({exc})") from exc
             predictions.setdefault(frame, []).extend(dets)
     return predictions

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import NEIGHBOURHOOD, BoundingBox, FrameDims, grid_cell, require_finite
+from .geometry import NEIGHBOURHOOD, BoundingBox, BoxGrid, FrameDims, grid_cell, require_finite
 
 # A box counts as covered once at least this fraction of its area lies
 # inside some already-proposed crop region.
@@ -272,6 +272,20 @@ def _covered(box: BoundingBox, region: BoundingBox) -> bool:
     return w * h / area >= COVERAGE_MIN
 
 
+def _covered_by(boxes: list[BoundingBox], grid: BoxGrid, crops: list[Crop]) -> set[int]:
+    """Indices of the boxes that some crop covers.
+
+    Each crop tests only the boxes its region meets: a box covered by a
+    region overlaps it with positive area or, having no area, lies inside it.
+    """
+    return {
+        i
+        for crop in crops
+        for i in grid.query(crop.region)
+        if _covered(boxes[i], crop.region)
+    }
+
+
 def _make_crop(tree_rect: BoundingBox, tier: CropTierConfig, frame: FrameDims,
                members: tuple[int, ...]) -> Crop:
     region = expand_crop(tree_rect, tier, frame)
@@ -299,10 +313,9 @@ def two_tier_proposal(
         selected = select_largest_k(forest, large_tier.k)
         large_crops = [_make_crop(t.rect, large_tier, frame, t.members) for t in selected]
 
-    regions = [crop.region for crop in large_crops]
-    uncovered = [
-        i for i, box in enumerate(boxes) if not any(_covered(box, r) for r in regions)
-    ]
+    grid = BoxGrid(boxes)
+    covered = _covered_by(boxes, grid, large_crops)
+    uncovered = [i for i in range(len(boxes)) if i not in covered]
 
     small_crops: list[Crop] = []
     if uncovered and small_tier.k > 0:
@@ -313,10 +326,8 @@ def two_tier_proposal(
             members = tuple(uncovered[j] for j in tree.members)
             small_crops.append(_make_crop(tree.rect, small_tier, frame, members))
 
-    regions = [crop.region for crop in small_crops]
-    still_uncovered = frozenset(
-        i for i in uncovered if not any(_covered(boxes[i], r) for r in regions)
-    )
+    covered = _covered_by(boxes, grid, small_crops)
+    still_uncovered = frozenset(i for i in uncovered if i not in covered)
     return large_crops, small_crops, still_uncovered
 
 

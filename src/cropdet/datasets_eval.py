@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .detections import Detection
-from .geometry import BoundingBox, FrameDims, clamp_box, iou
+from .geometry import BoundingBox, BoxGrid, FrameDims, clamp_box, iou
 
 PEDESTRIAN_CATEGORY = 1
 IGNORE_CATEGORY = 0
@@ -146,12 +146,26 @@ def load_annotations(path: str | Path) -> AnnotationSet:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise AnnotationParseError(f"{path}: {exc}") from exc
+        except RecursionError:
+            raise AnnotationParseError(f"{path}: JSON nested too deeply") from None
     return AnnotationSet.from_json_dict(data, str(path))
 
 
-def _grow_to(frames: list[list[GroundTruth]], index: int) -> None:
-    while len(frames) <= index:
-        frames.append([])
+def _frame_tuples(by_frame: dict[int, list[GroundTruth]]) -> tuple[tuple[GroundTruth, ...], ...]:
+    """Frames 0 to the highest index named; frames no row names share one
+    empty tuple, so a far-off index costs a pointer per frame, not a list."""
+    frames = [()] * (max(by_frame, default=-1) + 1)
+    for index, objects in by_frame.items():
+        frames[index] = tuple(objects)
+    return tuple(frames)
+
+
+def _row_box(x: float, y: float, w: float, h: float, where: str) -> BoundingBox:
+    """The box of an x, y, w, h row; a NaN or infinite value names `where`."""
+    try:
+        return BoundingBox(x, y, x + w, y + h)
+    except ValueError as exc:
+        raise AnnotationParseError(f"{where}: {exc}") from None
 
 
 def parse_visdrone(path: str | Path, dims: FrameDims) -> AnnotationSet:
@@ -162,7 +176,7 @@ def parse_visdrone(path: str | Path, dims: FrameDims) -> AnnotationSet:
     evaluation skips them. Boxes are clamped to the frame and may end up
     with zero area, in which case they never reach evaluation.
     """
-    frames: list[list[GroundTruth]] = []
+    by_frame: dict[int, list[GroundTruth]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -184,9 +198,8 @@ def parse_visdrone(path: str | Path, dims: FrameDims) -> AnnotationSet:
                 raise AnnotationParseError(f"{path}:{lineno}: frame index must be >= 1, got {frame}")
             if w < 0 or h < 0:
                 raise AnnotationParseError(f"{path}:{lineno}: negative box size {w}x{h}")
-            box = clamp_box(BoundingBox(x, y, x + w, y + h), dims)
-            _grow_to(frames, frame - 1)
-            frames[frame - 1].append(
+            box = clamp_box(_row_box(x, y, w, h, f"{path}:{lineno}"), dims)
+            by_frame.setdefault(frame - 1, []).append(
                 GroundTruth(
                     box=box,
                     object_id=target_id,
@@ -194,7 +207,7 @@ def parse_visdrone(path: str | Path, dims: FrameDims) -> AnnotationSet:
                     ignore=category == IGNORE_CATEGORY,
                 )
             )
-    return AnnotationSet(dims=dims, frames=tuple(tuple(f) for f in frames))
+    return AnnotationSet(dims=dims, frames=_frame_tuples(by_frame))
 
 
 def parse_darklabel(path: str | Path, dims: FrameDims) -> AnnotationSet:
@@ -205,7 +218,7 @@ def parse_darklabel(path: str | Path, dims: FrameDims) -> AnnotationSet:
     category of -1 so they stay visible in the set without affecting
     evaluation.
     """
-    frames: list[list[GroundTruth]] = []
+    by_frame: dict[int, list[GroundTruth]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -228,7 +241,7 @@ def parse_darklabel(path: str | Path, dims: FrameDims) -> AnnotationSet:
                     f"{path}:{lineno}: declared {count} objects but row has "
                     f"{len(parts)} fields (expected {2 + 6 * count})"
                 )
-            _grow_to(frames, frame)
+            objects = by_frame.setdefault(frame, [])
             for j in range(count):
                 base = 2 + 6 * j
                 try:
@@ -242,14 +255,15 @@ def parse_darklabel(path: str | Path, dims: FrameDims) -> AnnotationSet:
                     raise AnnotationParseError(f"{path}:{lineno}: negative box size {w}x{h}")
                 label = parts[base + 5]
                 category = PEDESTRIAN_CATEGORY if label.lower() in _PERSON_LABELS else -1
-                frames[frame].append(
+                box = _row_box(x, y, w, h, f"{path}:{lineno}: object {j}")
+                objects.append(
                     GroundTruth(
-                        box=clamp_box(BoundingBox(x, y, x + w, y + h), dims),
+                        box=clamp_box(box, dims),
                         object_id=object_id,
                         category=category,
                     )
                 )
-    return AnnotationSet(dims=dims, frames=tuple(tuple(f) for f in frames))
+    return AnnotationSet(dims=dims, frames=_frame_tuples(by_frame))
 
 
 @dataclass(frozen=True)
@@ -336,22 +350,26 @@ def evaluate_map(
             f"predictions reference frames outside 0..{truth.frame_count - 1}: {out_of_range}"
         )
 
-    n_gt = sum(len(truth.eval_boxes(f)) for f in range(truth.frame_count))
-
+    n_gt = 0
     pooled: list[tuple[float, int, int, bool]] = []
-    for frame in sorted(per_frame):
-        dets = per_frame[frame]
+    for frame in range(truth.frame_count):
         gts = truth.eval_boxes(frame)
+        n_gt += len(gts)
+        dets = per_frame.get(frame, ())
+        if not dets:
+            continue
+        grid = BoxGrid([gt.box for gt in gts])
         matched = [False] * len(gts)
         order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
         for rank, i in enumerate(order):
             det = dets[i]
             best_iou = 0.0
             best_j = -1
-            for j, gt in enumerate(gts):
+            # the ground truths the grid leaves out have IoU 0, which never wins
+            for j in grid.query(det.box):
                 if matched[j]:
                     continue
-                overlap = iou(det.box, gt.box)
+                overlap = iou(det.box, gts[j].box)
                 if overlap > best_iou:
                     best_iou = overlap
                     best_j = j

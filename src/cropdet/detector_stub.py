@@ -27,7 +27,7 @@ from typing import BinaryIO, Callable, Sequence, TextIO
 
 from .datasets_eval import AnnotationSet, GroundTruth
 from .detections import Detection
-from .geometry import BoundingBox, intersection_area, require_finite, to_crop_coords
+from .geometry import BoundingBox, BoxGrid, intersection_area, require_finite, to_crop_coords
 
 
 class DetectorError(Exception):
@@ -127,11 +127,19 @@ def oracle_detect(
 
 
 class OracleDetector:
-    """Detector backed by an annotation set; frame handles are frame indices."""
+    """Detector backed by an annotation set; frame handles are frame indices.
+
+    The ground truth of the last frame asked for is kept with a BoxGrid
+    over it, so each call scans only the objects near its region: an
+    object with no area inside the region is never reported.
+    """
 
     def __init__(self, annotations: AnnotationSet, config: OracleConfig) -> None:
         self.annotations = annotations
         self.config = config
+        self._frame = -1
+        self._truths: list[GroundTruth] = []
+        self._grid = BoxGrid([])
 
     def detect(
         self, frame_handle: int, region: BoundingBox, input_width: float, input_height: float
@@ -139,8 +147,12 @@ class OracleDetector:
         frame = int(frame_handle)
         if not 0 <= frame < self.annotations.frame_count:
             return []
-        ground_truths = self.annotations.eval_boxes(frame)
-        return oracle_detect(ground_truths, region, input_width, input_height, self.config, frame)
+        if frame != self._frame:
+            self._truths = self.annotations.eval_boxes(frame)
+            self._grid = BoxGrid([gt.box for gt in self._truths])
+            self._frame = frame
+        near = [self._truths[i] for i in self._grid.query(region)]
+        return oracle_detect(near, region, input_width, input_height, self.config, frame)
 
 
 def format_request(

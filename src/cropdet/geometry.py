@@ -7,9 +7,10 @@ grids only ever happens at detector boundaries, never here.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class BoundingBox(namedtuple("BoundingBox", "x_min y_min x_max y_max")):
@@ -141,6 +142,75 @@ def grid_cell(extent: float, span: float) -> float:
     2**-27 of a cell.
     """
     return max(extent * (1.0 + 2.0**-20), span * 2.0**-26) or 1.0
+
+
+class BoxGrid:
+    """Boxes bucketed by minimum corner, to find the boxes near a rectangle.
+
+    Cells are sized by grid_cell from the widest and the tallest box, and
+    span covers every coordinate. A box that meets a rectangle starts at
+    most one box extent before the rectangle does, so its minimum corner
+    lies in the rectangle's own cells or one cell to the left or above.
+    This is fixed-radius near-neighbour bucketing (Bentley, Stanat &
+    Williams 1977).
+    """
+
+    __slots__ = ("_columns", "_occupied", "_cell_w", "_cell_h", "_span")
+
+    def __init__(self, boxes: Sequence[BoundingBox]) -> None:
+        # an empty grid gets span 0 and the 1-pixel cells of grid_cell(0, 0)
+        xs0, ys0, xs1, ys1 = tuple(zip(*boxes)) or ((0.0,),) * 4
+        span = max(-min(xs0), -min(ys0), max(xs1), max(ys1))
+        cell_w = grid_cell(max(map(operator.sub, xs1, xs0)), span)
+        cell_h = grid_cell(max(map(operator.sub, ys1, ys0)), span)
+        floor = math.floor
+        # columns[gx][gy] lists (index, x_min, y_min, x_max, y_max) of a cell's boxes
+        columns: dict[int, dict[int, list[tuple[int, float, float, float, float]]]] = {}
+        for i, (x0, y0, x1, y1) in enumerate(boxes):
+            column = columns.setdefault(floor(x0 / cell_w), {})
+            column.setdefault(floor(y0 / cell_h), []).append((i, x0, y0, x1, y1))
+        self._columns = columns
+        self._occupied = sum(map(len, columns.values()))
+        self._cell_w, self._cell_h, self._span = cell_w, cell_h, span
+
+    def query(self, rect: BoundingBox) -> list[int]:
+        """Indices, ascending, of the boxes that meet `rect` (share a point
+        with it, borders included).
+
+        They include every box that overlaps rect with positive area and
+        every box inside it. The search visits no more cells than the
+        smaller of the cells under rect and the occupied cells.
+        """
+        rx0, ry0, rx1, ry1 = rect
+        span = self._span
+        if rx0 > span or ry0 > span or rx1 < -span or ry1 < -span:
+            return []
+        # clamped into [-span, span], where grid_cell bounds the rounding
+        floor, cell_w, cell_h = math.floor, self._cell_w, self._cell_h
+        gx0 = floor((rx0 if rx0 > -span else -span) / cell_w) - 1
+        gy0 = floor((ry0 if ry0 > -span else -span) / cell_h) - 1
+        gx1 = floor((rx1 if rx1 < span else span) / cell_w) + 1
+        gy1 = floor((ry1 if ry1 < span else span) / cell_h) + 1
+        columns = self._columns
+        # plain loops: a comprehension is a function call per column here
+        if (gx1 - gx0) * (gy1 - gy0) < self._occupied:
+            cells = []
+            for gx in range(gx0, gx1):
+                column = columns.get(gx)
+                if column:
+                    for gy in range(gy0, gy1):
+                        cell = column.get(gy)
+                        if cell:
+                            cells.append(cell)
+        else:
+            cells = [cell for column in columns.values() for cell in column.values()]
+        hits = []
+        for cell in cells:
+            for i, x0, y0, x1, y1 in cell:
+                if x0 <= rx1 and rx0 <= x1 and y0 <= ry1 and ry0 <= y1:
+                    hits.append(i)
+        hits.sort()
+        return hits
 
 
 def center_distance(a: BoundingBox, b: BoundingBox) -> float:

@@ -13,7 +13,7 @@ detector makes the whole replay deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Protocol, Sequence
 
@@ -26,15 +26,7 @@ from .crop_proposal import (
     two_tier_proposal,
 )
 from .detections import FULL_FRAME, Detection, crop_source
-from .geometry import (
-    NEIGHBOURHOOD,
-    BoundingBox,
-    FrameDims,
-    grid_cell,
-    iou,
-    require_finite,
-    to_frame_coords,
-)
+from .geometry import BoundingBox, BoxGrid, FrameDims, _check_region, iou, require_finite
 from .temporal_filter import TemporalConfig, filter_detections
 
 
@@ -121,33 +113,25 @@ def merge_detections(groups: Sequence[Sequence[Detection]], nms_iou: float) -> l
     earlier box wins) and kept unless they overlap an already-kept box
     with IoU strictly above nms_iou.
 
-    A candidate is tested only against kept boxes whose minimum corner
-    lies in the 3x3 grid neighbourhood of its own, with cells as wide and
-    as tall as the widest and tallest box. Boxes further apart do not
-    overlap, and an IoU of 0 never suppresses since nms_iou >= 0.
+    A candidate is tested only against the kept boxes a BoxGrid query
+    finds near it. The others do not overlap it, and an IoU of 0 never
+    suppresses since nms_iou >= 0.
     """
     if not nms_iou >= 0.0:  # NaN included
         raise ValueError(f"nms_iou must be >= 0, got {nms_iou}")
     flat = [det for group in groups for det in group]
-    if not flat:
-        return []
     boxes = [det.box for det in flat]
-    span = max(max(abs(b[0]), abs(b[1])) for b in boxes)
-    cell_w = grid_cell(max(b[2] - b[0] for b in boxes), span)
-    cell_h = grid_cell(max(b[3] - b[1] for b in boxes), span)
-    order = sorted(range(len(flat)), key=lambda i: (-flat[i].confidence, i))
-    grid: dict[tuple[int, int], list[BoundingBox]] = {}
+    grid = BoxGrid(boxes)
+    is_kept = [False] * len(flat)
     kept: list[Detection] = []
-    for i in order:
+    for i in sorted(range(len(flat)), key=lambda i: (-flat[i].confidence, i)):
         box = boxes[i]
-        gx, gy = math.floor(box[0] / cell_w), math.floor(box[1] / cell_h)
-        if all(
-            iou(box, other) <= nms_iou
-            for dx, dy in NEIGHBOURHOOD
-            for other in grid.get((gx + dx, gy + dy), ())
-        ):
+        for j in grid.query(box):
+            if is_kept[j] and iou(box, boxes[j]) > nms_iou:
+                break
+        else:
+            is_kept[i] = True
             kept.append(flat[i])
-            grid.setdefault((gx, gy), []).append(box)
     return kept
 
 
@@ -177,15 +161,33 @@ def _to_frame_detections(
     source: str,
     dims: FrameDims,
 ) -> list[Detection]:
-    """Map region-local boxes to frame space, clip to the frame, tag the source."""
+    """Map region-local boxes to frame space, clip to the frame, tag the source.
+
+    The arithmetic is to_frame_coords' and the clip BoundingBox.intersect's,
+    inlined, with the region checked once per call.
+    """
+    if not raw:
+        return []
+    _check_region(region, input_width, input_height)
+    rx0, ry0, rx1, ry1 = region
+    sx = (rx1 - rx0) / input_width
+    sy = (ry1 - ry0) / input_height
+    fw, fh = float(dims.width), float(dims.height)
+    isfinite = math.isfinite
     out: list[Detection] = []
-    frame_rect = dims.rect
     for det in raw:
-        frame_box = to_frame_coords(det.box, region, input_width, input_height)
-        clipped = frame_box.intersect(frame_rect)
-        if clipped is None:
+        bx0, by0, bx1, by1 = det.box
+        x0, y0, x1, y1 = rx0 + bx0 * sx, ry0 + by0 * sy, rx0 + bx1 * sx, ry0 + by1 * sy
+        if not (isfinite(x0) and isfinite(y0) and isfinite(x1) and isfinite(y1)):
+            BoundingBox(x0, y0, x1, y1)  # raises to_frame_coords' error
+        # max(a, b) and min(a, b) as intersect computes them, -0.0 included
+        x0 = 0.0 if 0.0 > x0 else x0
+        y0 = 0.0 if 0.0 > y0 else y0
+        x1 = fw if fw < x1 else x1
+        y1 = fh if fh < y1 else y1
+        if x1 <= x0 or y1 <= y0:
             continue
-        out.append(replace(det, box=clipped, source=source))
+        out.append(Detection(BoundingBox(x0, y0, x1, y1), det.confidence, source, det.resurrected))
     return out
 
 

@@ -2,16 +2,29 @@
 
 Everything here recomputes from first principles: partitions are plain
 lists of sets, enclosing rectangles are rebuilt from every member box on
-each merge, overlap is counted pixel by pixel, and every pair of boxes
-is tested. No union-find, no incremental aggregates, no pruning.
+each merge, overlap is counted pixel by pixel, every pair of boxes is
+tested and every box is mapped through validated BoundingBox steps. No
+union-find, no incremental aggregates, no pruning, no inlined arithmetic.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
+from typing import Mapping
 
+from cropdet.crop_proposal import COVERAGE_MIN
+from cropdet.datasets_eval import AnnotationSet
 from cropdet.detections import Detection
-from cropdet.geometry import BoundingBox, center_distance, iou
+from cropdet.detector_stub import OracleConfig, oracle_detect
+from cropdet.geometry import (
+    BoundingBox,
+    FrameDims,
+    center_distance,
+    intersection_area,
+    iou,
+    to_frame_coords,
+)
 
 
 def _naive_sweep(
@@ -76,6 +89,79 @@ def naive_nms(detections: list[Detection], nms_iou: float) -> list[Detection]:
         if all(iou(detections[i].box, k.box) <= nms_iou for k in kept):
             kept.append(detections[i])
     return kept
+
+
+def naive_oracle_detect(
+    annotations: AnnotationSet,
+    config: OracleConfig,
+    frame: int,
+    region: BoundingBox,
+    input_width: float,
+    input_height: float,
+) -> list[Detection]:
+    """The oracle's answer for one call, scanning every object of the frame."""
+    if not 0 <= frame < annotations.frame_count:
+        return []
+    truths = annotations.eval_boxes(frame)
+    return oracle_detect(truths, region, input_width, input_height, config, frame)
+
+
+def naive_match(
+    predictions: Mapping[int, list[Detection]], truth: AnnotationSet, iou_threshold: float
+) -> list[bool]:
+    """Whether each prediction is a true positive, in the pooled sweep order.
+
+    Per frame, predictions in descending confidence (ties: earlier first)
+    each take the unmatched ground truth of highest IoU, the lowest index
+    among equals, tested against every ground truth of the frame.
+    """
+    decisions = []
+    for frame, dets in predictions.items():
+        truths = truth.eval_boxes(frame)
+        matched: set[int] = set()
+        order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
+        for rank, i in enumerate(order):
+            best_iou, best_j = max(
+                ((iou(dets[i].box, truths[j].box), -j) for j in range(len(truths))
+                 if j not in matched),
+                default=(0.0, 0),
+            )
+            is_tp = best_iou > 0.0 and best_iou >= iou_threshold
+            if is_tp:
+                matched.add(-best_j)
+            decisions.append((dets[i].confidence, frame, rank, is_tp))
+    decisions.sort(key=lambda d: (-d[0], d[1], d[2]))
+    return [is_tp for _, _, _, is_tp in decisions]
+
+
+def naive_uncovered(boxes: list[BoundingBox], regions: list[BoundingBox]) -> frozenset[int]:
+    """Indices of the boxes no region covers: COVERAGE_MIN of a box's area inside a
+    region, or a box without area lying inside it, tested for every pair."""
+    def covered(box: BoundingBox, region: BoundingBox) -> bool:
+        if box.area <= 0.0:
+            return region.contains(box)
+        return intersection_area(box, region) / box.area >= COVERAGE_MIN
+
+    return frozenset(
+        i for i, box in enumerate(boxes) if not any(covered(box, r) for r in regions)
+    )
+
+
+def naive_to_frame_detections(
+    raw: list[Detection],
+    region: BoundingBox,
+    input_width: float,
+    input_height: float,
+    source: str,
+    dims: FrameDims,
+) -> list[Detection]:
+    """Region-local detections mapped by to_frame_coords and clipped by intersect."""
+    out = []
+    for det in raw:
+        clipped = to_frame_coords(det.box, region, input_width, input_height).intersect(dims.rect)
+        if clipped is not None:
+            out.append(replace(det, box=clipped, source=source))
+    return out
 
 
 def naive_tree_rect(boxes: list[BoundingBox], members: tuple[int, ...]) -> BoundingBox:

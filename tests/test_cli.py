@@ -451,6 +451,23 @@ def test_eval_rejects_bad_prediction_rows(tmp_path, scene_path, capsys):
     assert err.startswith(f"error: {predictions}:1")
     assert err.count("\n") == 1
 
+    predictions.write_text('{"frame": 0, "detections": ' + "[" * 100_000 + "]" * 100_000 + "}\n")
+    assert run_cli("eval", "--annotations", scene_path, "--predictions", predictions) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {predictions}:1") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--annotations", "--config"])
+def test_deeply_nested_json_fails_in_one_line(tmp_path, scene_path, capsys, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    annotations, config = (deep, empty) if flag == "--annotations" else (scene_path, deep)
+    assert run_cli("run", "--annotations", annotations, "--config", config,
+                   "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
 
 @pytest.mark.parametrize("text", [
     '{"width": 1e400, "height": 1080, "frames": [[]]}',

@@ -20,7 +20,13 @@ from cropdet.crop_proposal import (
     two_tier_proposal,
 )
 from cropdet.geometry import BoundingBox, FrameDims, grid_cell, intersection_area
-from naive_reference import naive_edges_scanned, naive_forest, naive_tree_rect, random_boxes
+from naive_reference import (
+    naive_edges_scanned,
+    naive_forest,
+    naive_tree_rect,
+    naive_uncovered,
+    random_boxes,
+)
 
 DIMS = FrameDims(1920, 1080)
 
@@ -318,6 +324,25 @@ def test_two_tier_crop_budget_holds(boxes):
     assert len(large) <= LARGE_TIER_DEFAULT.k
     assert len(small) <= SMALL_TIER_DEFAULT.k
     assert len(large) + len(small) <= LARGE_TIER_DEFAULT.k + SMALL_TIER_DEFAULT.k
+
+
+# zero-width and zero-height boxes on the frame's borders, where crop
+# regions clamped into the frame have theirs
+border_boxes = st.builds(
+    lambda x, y, h: BoundingBox(x, y, x, y + h),
+    st.sampled_from((0.0, 1920.0)), st.floats(0.0, 1000.0), st.sampled_from((0.0, 30.0)),
+) | st.builds(
+    lambda y, x, w: BoundingBox(x, y, x + w, y),
+    st.sampled_from((0.0, 1080.0)), st.floats(0.0, 1800.0), st.sampled_from((0.0, 30.0)),
+)
+
+
+@settings(max_examples=40)
+@given(st.lists(small_boxes() | border_boxes, max_size=40), st.integers(0, 3))
+def test_two_tier_uncovered_matches_naive(boxes, large_k):
+    large_tier = CropTierConfig("large", large_k, 448.0, 256.0, 224, 128)
+    large, small, uncovered = two_tier_proposal(boxes, large_tier, SMALL_TIER_DEFAULT, DIMS)
+    assert uncovered == naive_uncovered(boxes, [crop.region for crop in large + small])
 
 
 @settings(max_examples=60)

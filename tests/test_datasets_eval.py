@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cropdet.cli import DEFAULTS, run_one_sequence
@@ -23,6 +25,7 @@ from cropdet.datasets_eval import (
 from cropdet.detections import Detection
 from cropdet.geometry import BoundingBox, FrameDims
 from cropdet.synthetic import fidelity_scene
+from naive_reference import naive_match
 
 DIMS = FrameDims(1920, 1080)
 
@@ -102,6 +105,8 @@ def test_visdrone_clamps_to_frame(tmp_path):
         ("1,2,3,4,five,6,7,8,9,10", "non-numeric"),
         ("0,2,3,4,5,6,7,1,9,10", "must be >= 1"),
         ("1,2,3,4,-5,6,7,1,9,10", "negative box size"),
+        ("1,2,nan,4,5,6,7,1,9,10", "non-finite coordinate x_min=nan"),
+        ("1,2,3,4,inf,6,7,1,9,10", "non-finite coordinate x_max=inf"),
     ],
 )
 def test_visdrone_rejects_bad_rows(tmp_path, row, fragment):
@@ -152,6 +157,25 @@ def test_darklabel_label_matching_is_case_insensitive(tmp_path):
     assert [g.category for g in annotations.frames[0]] == [1, 1]
 
 
+@pytest.mark.parametrize("parse, row", [
+    (parse_visdrone, "300000,1,10,10,20,40,1,1,0,0"),
+    (parse_darklabel, "299999,1,1,10,10,20,40,person"),
+])
+def test_far_frame_index_costs_a_pointer_per_frame(tmp_path, parse, row):
+    path = tmp_path / "seq.txt"
+    path.write_text(row + "\n")
+    tracemalloc.start()
+    try:
+        annotations = parse(path, DIMS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert annotations.frame_count == 300_000
+    assert annotations.frames[0] == () and len(annotations.frames[-1]) == 1
+    # an empty list per skipped frame would take more than 60 bytes each
+    assert peak < 24 * 300_000
+
+
 def test_darklabel_empty_frame_row(tmp_path):
     path = tmp_path / "seq.csv"
     path.write_text("0,0\n1,1,1,10,10,20,40,person\n")
@@ -171,6 +195,8 @@ def test_darklabel_empty_frame_row(tmp_path):
         ("0,-2", "negative object count"),
         ("0,1,5,10,ten,20,40,person", "non-numeric field in object 0"),
         ("0,1,5,10,10,-20,40,person", "negative box size"),
+        ("0,1,5,10,nan,20,40,person", "object 0: non-finite coordinate y_min=nan"),
+        ("0,1,5,10,10,20,inf,person", "object 0: non-finite coordinate y_max=inf"),
     ],
 )
 def test_darklabel_rejects_bad_rows(tmp_path, row, fragment):
@@ -369,3 +395,44 @@ def test_ap_stays_in_unit_interval(example, interpolation):
     for recall, precision in report.pr_curve:
         assert 0.0 <= recall <= 1.0 + 1e-12
         assert 0.0 <= precision <= 1.0
+
+
+@st.composite
+def lattice_predictions(draw):
+    """Frames of ground truth and predictions on a coarse lattice, so that
+    IoUs tie, with two confidences, so that ranks tie too; some ground
+    truth is ignored or clamped to no area, and some frames have no
+    predictions."""
+    coord = st.integers(0, 6).map(lambda k: 10.0 * k)
+    size = st.sampled_from((10.0, 20.0, 30.0))
+    n_frames = draw(st.integers(1, 3))
+    frames = []
+    for _ in range(n_frames):
+        frame = [gt(draw(coord), draw(coord), draw(size), draw(size), object_id=j,
+                    ignore=draw(st.sampled_from((False, False, False, True))))
+                 for j in range(draw(st.integers(0, 6)))]
+        if draw(st.booleans()):
+            frame.append(gt(1920.0, 50.0, 0.0, 10.0, object_id=99))
+        frames.append(tuple(frame))
+    predictions = {
+        f: [det(draw(coord), draw(coord), draw(size), draw(size), draw(st.sampled_from((0.3, 0.7))))
+            for _ in range(draw(st.integers(0, 6)))]
+        for f in draw(st.sets(st.integers(0, n_frames - 1)))
+    }
+    return AnnotationSet(dims=DIMS, frames=tuple(frames)), predictions
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_predictions(), st.sampled_from((0.1, 0.5)))
+# the first prediction ties both ground truths and must take the first,
+# leaving the second for the next prediction
+@example((one_frame(gt(0.0, 0.0, 10.0, 10.0), gt(10.0, 0.0, 10.0, 10.0, object_id=2)),
+          {0: [det(0.0, 0.0, 20.0, 10.0, 0.7), det(10.0, 0.0, 10.0, 10.0, 0.3)]}), 0.5)
+def test_matching_equals_naive_matching(case, iou_threshold):
+    truth, predictions = case
+    report = evaluate_map(predictions, truth, iou_threshold=iou_threshold)
+    decisions = naive_match(predictions, truth, iou_threshold)
+    n_gt = sum(len(truth.eval_boxes(f)) for f in range(truth.frame_count))
+    tps = list(itertools.accumulate(decisions))
+    assert report.true_positives == sum(decisions)
+    assert report.pr_curve == [(tp / n_gt if n_gt else 0.0, tp / k) for k, tp in enumerate(tps, 1)]

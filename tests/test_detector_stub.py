@@ -5,8 +5,9 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cropdet.datasets_eval import GroundTruth
+from cropdet.datasets_eval import AnnotationSet, GroundTruth
 from cropdet.detections import Detection
 from cropdet.detector_stub import (
     DetectorError,
@@ -24,8 +25,9 @@ from cropdet.detector_stub import (
     parse_response_header,
     serve_requests,
 )
-from cropdet.geometry import BoundingBox
+from cropdet.geometry import BoundingBox, FrameDims
 from cropdet.synthetic import fidelity_scene
+from naive_reference import naive_oracle_detect
 
 CLEAN = OracleConfig(rng_seed=0, jitter_fraction=0.0)
 FRAME_REGION = BoundingBox(0.0, 0.0, 1920.0, 1080.0)
@@ -331,3 +333,44 @@ def test_external_detector_closes_child_stdout(responder_cmd, protocol_dir):
         broken.detect(0, BoundingBox(0.0, 0.0, 50.0, 50.0), 100, 100)
     assert broken._proc.stdout.closed
     broken.close()
+
+
+@st.composite
+def oracle_calls(draw):
+    """A few frames of objects on a lattice and detector calls across them.
+
+    Objects include zero-area, ignored and non-pedestrian ones; regions
+    share borders with objects, may cover the whole frame, and the calls
+    revisit frames in any order, outside the sequence too.
+    """
+    coord = st.integers(0, 12).map(lambda k: 40.0 * k)
+    size = st.sampled_from((0.0, 20.0, 40.0, 80.0))
+    objects = st.builds(
+        lambda x, y, w, h, object_id, category, ignore: GroundTruth(
+            BoundingBox(x, y, x + w, y + h), object_id, category, ignore),
+        coord, coord, size, size, st.integers(0, 9), st.sampled_from((1, 1, 1, -1)),
+        st.sampled_from((False, False, True)),
+    )
+    n_frames = draw(st.integers(1, 3))
+    frames = tuple(tuple(draw(st.lists(objects, max_size=12))) for _ in range(n_frames))
+    region = st.builds(lambda x, y, w, h: BoundingBox(x, y, x + w, y + h), coord, coord,
+                       st.sampled_from((40.0, 120.0, 480.0)), st.sampled_from((40.0, 120.0)))
+    region |= st.just(FRAME_REGION)
+    calls = draw(st.lists(st.tuples(st.integers(-1, n_frames), region,
+                                    st.sampled_from((160, 224, 416))), min_size=1, max_size=6))
+    return AnnotationSet(FrameDims(1920, 1080), frames), calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(oracle_calls())
+# a second frame after the first: the cached grid must follow the frame
+@example((AnnotationSet(FrameDims(1920, 1080), ((gt(0.0, 0.0, 40.0, 80.0),),
+                                                (gt(400.0, 0.0, 40.0, 80.0, object_id=2),))),
+          [(0, FRAME_REGION, 416), (1, FRAME_REGION, 416)]))
+def test_oracle_detector_matches_naive_scan(case):
+    annotations, calls = case
+    config = OracleConfig(rng_seed=3, min_visible_height=8.0, flicker_prob=0.5)
+    detector = OracleDetector(annotations, config)
+    for frame, region, size in calls:
+        got = detector.detect(frame, region, size, size * 0.6)
+        assert got == naive_oracle_detect(annotations, config, frame, region, size, size * 0.6)

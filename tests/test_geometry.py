@@ -3,10 +3,11 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cropdet.geometry import (
     BoundingBox,
+    BoxGrid,
     FrameDims,
     center_distance,
     clamp_box,
@@ -214,3 +215,74 @@ def test_coordinate_round_trip(box, region_parts, target_w, target_h):
     back = to_frame_coords(to_crop_coords(box, region, target_w, target_h), region, target_w, target_h)
     for got, expected in zip(back, box):
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+@st.composite
+def grid_cases(draw):
+    """Boxes and a query rectangle on one lattice, so that borders coincide.
+
+    The lattice sits near the origin or near +-1e15, its boxes include
+    zero-width and zero-height ones, and the query may be far larger
+    than every box.
+    """
+    origin = draw(st.sampled_from((0.0, -300.0, 1e15, -1e15)))
+    unit = draw(st.sampled_from((0.25, 1.0, 7.5)))
+    coord = st.integers(-4, 8).map(lambda k: origin + k * unit)
+    size = st.integers(0, 3).map(lambda k: k * unit)
+
+    def box(x, y, w, h):
+        return BoundingBox(x, y, x + w, y + h)
+
+    rects = st.builds(box, coord, coord, size, size)
+    boxes = draw(st.lists(rects, max_size=25))
+    reach = st.sampled_from((1e9, 1e300))
+    band = st.builds(lambda r, far: BoundingBox(origin - far, r.y_min, origin + far, r.y_max),
+                     rects, reach)
+    huge = st.builds(
+        lambda far: BoundingBox(origin - far, origin - far, origin + far, origin + far), reach)
+    return boxes, draw(rects | band | huge)
+
+
+@settings(max_examples=60)
+@given(grid_cases())
+# a box in the cell before the rectangle's on both axes, with more
+# occupied cells than the rectangle's block, which is then searched
+@example(([BoundingBox(2.0, 2.0, 5.0, 5.0)]
+           + [BoundingBox(x, 40.0, x, 40.0) for x in range(0, 60, 6)],
+          BoundingBox(4.0, 4.0, 6.0, 6.0)))
+# a box in the rectangle's last cell on both axes, searched by cell
+@example(([BoundingBox(6.5, 6.5, 9.5, 9.5)]
+           + [BoundingBox(x, 100.0, x, 100.0) for x in range(0, 240, 6)],
+          BoundingBox(0.0, 0.0, 7.0, 7.0)))
+# a rectangle beyond every minimum corner but inside a box
+@example(([BoundingBox(0.0, 0.0, 10.0, 10.0)], BoundingBox(5.0, 5.0, 6.0, 6.0)))
+# boxes touching the rectangle's borders, one without height
+@example(([BoundingBox(0.0, 0.0, 2.0, 2.0), BoundingBox(4.0, 0.0, 6.0, 2.0),
+           BoundingBox(2.0, 2.0, 3.0, 2.0)], BoundingBox(2.0, 0.0, 4.0, 2.0)))
+def test_grid_query_equals_brute_force(case):
+    boxes, rect = case
+    meets = [
+        i for i, b in enumerate(boxes)
+        if b.x_min <= rect.x_max and rect.x_min <= b.x_max
+        and b.y_min <= rect.y_max and rect.y_min <= b.y_max
+    ]
+    assert BoxGrid(boxes).query(rect) == meets
+    assert {i for i, b in enumerate(boxes) if intersection_area(b, rect) > 0.0} <= set(meets)
+
+
+def test_grid_query_of_a_huge_region_visits_only_occupied_cells():
+    class CountingDict(dict):
+        gets = 0
+
+        def get(self, key, default=None):
+            CountingDict.gets += 1
+            return super().get(key, default)
+
+    # cells about a pixel wide: the region spans some 4e10 of them, 2 occupied
+    boxes = [BoundingBox(0.0, 0.0, 1.0, 1.0), BoundingBox(1e5, -1e5, 1e5 + 1.0, -1e5)]
+    grid = BoxGrid(boxes)
+    grid._columns = CountingDict(grid._columns)
+    assert grid.query(BoundingBox(-1e300, -1e300, 1e300, 1e300)) == [0, 1]
+    assert grid.query(BoundingBox(0.5, 0.5, 1e300, 1e300)) == [0]
+    assert grid.query(BoundingBox(-1e300, -1e300, -1.0, 1e300)) == []
+    assert CountingDict.gets <= len(boxes)  # the occupied cells

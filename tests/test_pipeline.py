@@ -11,6 +11,7 @@ from cropdet.pipeline import (
     FrameProcessingError,
     FrameState,
     PipelineConfig,
+    _to_frame_detections,
     detection_from_dict,
     detection_to_dict,
     frame_result_to_dict,
@@ -20,7 +21,7 @@ from cropdet.pipeline import (
     timing_to_dict,
 )
 from cropdet.synthetic import fidelity_scene
-from naive_reference import naive_nms
+from naive_reference import naive_nms, naive_to_frame_detections
 
 DIMS = FrameDims(1920, 1080)
 
@@ -155,6 +156,33 @@ _DIAGONAL = det(0.5, 10.5, 10.5, 10.0, 10.0)  # the next cell on both axes
 def test_merge_matches_naive_nms(case, nms_iou):
     groups, flat = case
     assert merge_detections(groups, nms_iou) == naive_nms(flat, nms_iou)
+
+
+def _outcome(fn, *args):
+    """repr of what fn returns or raises, so -0.0 and 0.0 differ."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError({exc})"
+
+
+local_coord = st.sampled_from((-0.0, 0.0, -30.0, 5.5, 100.0, 416.0, 1e308))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.builds(lambda x, y, w, h, c: Detection(BoundingBox(x, y, x + w, y + h), c),
+                       local_coord, local_coord, st.sampled_from((0.0, 3.0, 50.0)),
+                       st.sampled_from((0.0, 3.0, 80.0)), st.sampled_from((0.1, 0.9))),
+             max_size=6),
+    st.builds(lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+              st.sampled_from((-0.0, 0.0, 100.0, 1800.0)), st.sampled_from((-0.0, 0.0, 1000.0)),
+              st.sampled_from((0.0, 224.0, 448.0, 1920.0)), st.sampled_from((0.0, 128.0, 1080.0))),
+    st.sampled_from((224, 416, 1e-300)),
+)
+def test_to_frame_detections_matches_naive(raw, region, input_size):
+    args = (raw, region, input_size, input_size, "crop:1", DIMS)
+    assert _outcome(_to_frame_detections, *args) == _outcome(naive_to_frame_detections, *args)
 
 
 def test_detection_remap_and_source_tagging():
