@@ -35,6 +35,7 @@ from .datasets_eval import (
     load_annotations,
     parse_darklabel,
     parse_visdrone,
+    read_text,
     write_pr_csv,
 )
 from .detections import Detection
@@ -175,13 +176,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
     resolved = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path is not None:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"{config_path}: not valid JSON ({exc})") from exc
-            except RecursionError:
-                raise CliError(f"{config_path}: JSON nested too deeply") from None
+        try:
+            data = json.loads(read_text(config_path))
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{config_path}: not valid JSON ({exc})") from exc
+        except RecursionError:
+            raise CliError(f"{config_path}: JSON nested too deeply") from None
         if not isinstance(data, dict):
             raise CliError(f"{config_path}: config must be a JSON object")
         unknown = sorted(set(data) - set(DEFAULTS))
@@ -354,19 +354,18 @@ def cmd_propose(args: argparse.Namespace) -> int:
 
 def _read_predictions(path: str) -> dict[int, list[Detection]]:
     predictions: dict[int, list[Detection]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                frame = int(row["frame"])
-                dets = [detection_from_dict(d) for d in row["detections"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError,
-                    RecursionError) as exc:
-                raise CliError(f"{path}:{lineno}: bad prediction row ({exc})") from exc
-            predictions.setdefault(frame, []).extend(dets)
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+            frame = int(row["frame"])
+            dets = [detection_from_dict(d) for d in row["detections"]]
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError,
+                RecursionError) as exc:
+            raise CliError(f"{path}:{lineno}: bad prediction row ({exc})") from exc
+        predictions.setdefault(frame, []).extend(dets)
     return predictions
 
 

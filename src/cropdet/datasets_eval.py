@@ -31,7 +31,8 @@ _PERSON_LABELS = ("person", "pedestrian")
 
 
 class AnnotationParseError(Exception):
-    """An annotation file could not be understood; message carries path:line."""
+    """An annotation file, or another text input, could not be understood;
+    message carries path:line."""
 
 
 class EvaluationError(Exception):
@@ -134,6 +135,23 @@ def _mistyped(gt: dict) -> str:
     return f"{key} must be {kinds[-1].__name__}, got {json.dumps(gt[key])}"
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file with its line ends read as open() reads them: CRLF
+    and CR become LF. A byte that is not UTF-8 raises AnnotationParseError
+    naming path:line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        line = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
+        raise AnnotationParseError(
+            f"{path}:{line}: not UTF-8 ({exc.reason}, byte 0x{data[exc.start]:02x})"
+        ) from None
+    # the test is a fast scan; replace scans even when it finds nothing
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def save_annotations(annotations: AnnotationSet, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(annotations.to_json_dict(), fh, sort_keys=True)
@@ -141,13 +159,12 @@ def save_annotations(annotations: AnnotationSet, path: str | Path) -> None:
 
 
 def load_annotations(path: str | Path) -> AnnotationSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AnnotationParseError(f"{path}: {exc}") from exc
-        except RecursionError:
-            raise AnnotationParseError(f"{path}: JSON nested too deeply") from None
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise AnnotationParseError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise AnnotationParseError(f"{path}: JSON nested too deeply") from None
     return AnnotationSet.from_json_dict(data, str(path))
 
 
@@ -177,36 +194,35 @@ def parse_visdrone(path: str | Path, dims: FrameDims) -> AnnotationSet:
     with zero area, in which case they never reach evaluation.
     """
     by_frame: dict[int, list[GroundTruth]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 10:
-                raise AnnotationParseError(
-                    f"{path}:{lineno}: expected 10 comma-separated fields, got {len(parts)}"
-                )
-            try:
-                frame = int(parts[0])
-                target_id = int(parts[1])
-                x, y, w, h = (float(v) for v in parts[2:6])
-                category = int(parts[7])
-            except ValueError:
-                raise AnnotationParseError(f"{path}:{lineno}: non-numeric field") from None
-            if frame < 1:
-                raise AnnotationParseError(f"{path}:{lineno}: frame index must be >= 1, got {frame}")
-            if w < 0 or h < 0:
-                raise AnnotationParseError(f"{path}:{lineno}: negative box size {w}x{h}")
-            box = clamp_box(_row_box(x, y, w, h, f"{path}:{lineno}"), dims)
-            by_frame.setdefault(frame - 1, []).append(
-                GroundTruth(
-                    box=box,
-                    object_id=target_id,
-                    category=category,
-                    ignore=category == IGNORE_CATEGORY,
-                )
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 10:
+            raise AnnotationParseError(
+                f"{path}:{lineno}: expected 10 comma-separated fields, got {len(parts)}"
             )
+        try:
+            frame = int(parts[0])
+            target_id = int(parts[1])
+            x, y, w, h = (float(v) for v in parts[2:6])
+            category = int(parts[7])
+        except ValueError:
+            raise AnnotationParseError(f"{path}:{lineno}: non-numeric field") from None
+        if frame < 1:
+            raise AnnotationParseError(f"{path}:{lineno}: frame index must be >= 1, got {frame}")
+        if w < 0 or h < 0:
+            raise AnnotationParseError(f"{path}:{lineno}: negative box size {w}x{h}")
+        box = clamp_box(_row_box(x, y, w, h, f"{path}:{lineno}"), dims)
+        by_frame.setdefault(frame - 1, []).append(
+            GroundTruth(
+                box=box,
+                object_id=target_id,
+                category=category,
+                ignore=category == IGNORE_CATEGORY,
+            )
+        )
     return AnnotationSet(dims=dims, frames=_frame_tuples(by_frame))
 
 
@@ -219,50 +235,49 @@ def parse_darklabel(path: str | Path, dims: FrameDims) -> AnnotationSet:
     evaluation.
     """
     by_frame: dict[int, list[GroundTruth]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) < 2:
-                raise AnnotationParseError(f"{path}:{lineno}: expected at least frame and count")
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) < 2:
+            raise AnnotationParseError(f"{path}:{lineno}: expected at least frame and count")
+        try:
+            frame = int(parts[0])
+            count = int(parts[1])
+        except ValueError:
+            raise AnnotationParseError(f"{path}:{lineno}: non-numeric frame or count") from None
+        if frame < 0:
+            raise AnnotationParseError(f"{path}:{lineno}: negative frame index {frame}")
+        if count < 0:
+            raise AnnotationParseError(f"{path}:{lineno}: negative object count {count}")
+        if len(parts) != 2 + 6 * count:
+            raise AnnotationParseError(
+                f"{path}:{lineno}: declared {count} objects but row has "
+                f"{len(parts)} fields (expected {2 + 6 * count})"
+            )
+        objects = by_frame.setdefault(frame, [])
+        for j in range(count):
+            base = 2 + 6 * j
             try:
-                frame = int(parts[0])
-                count = int(parts[1])
+                object_id = int(parts[base])
+                x, y, w, h = (float(v) for v in parts[base + 1 : base + 5])
             except ValueError:
-                raise AnnotationParseError(f"{path}:{lineno}: non-numeric frame or count") from None
-            if frame < 0:
-                raise AnnotationParseError(f"{path}:{lineno}: negative frame index {frame}")
-            if count < 0:
-                raise AnnotationParseError(f"{path}:{lineno}: negative object count {count}")
-            if len(parts) != 2 + 6 * count:
                 raise AnnotationParseError(
-                    f"{path}:{lineno}: declared {count} objects but row has "
-                    f"{len(parts)} fields (expected {2 + 6 * count})"
+                    f"{path}:{lineno}: non-numeric field in object {j}"
+                ) from None
+            if w < 0 or h < 0:
+                raise AnnotationParseError(f"{path}:{lineno}: negative box size {w}x{h}")
+            label = parts[base + 5]
+            category = PEDESTRIAN_CATEGORY if label.lower() in _PERSON_LABELS else -1
+            box = _row_box(x, y, w, h, f"{path}:{lineno}: object {j}")
+            objects.append(
+                GroundTruth(
+                    box=clamp_box(box, dims),
+                    object_id=object_id,
+                    category=category,
                 )
-            objects = by_frame.setdefault(frame, [])
-            for j in range(count):
-                base = 2 + 6 * j
-                try:
-                    object_id = int(parts[base])
-                    x, y, w, h = (float(v) for v in parts[base + 1 : base + 5])
-                except ValueError:
-                    raise AnnotationParseError(
-                        f"{path}:{lineno}: non-numeric field in object {j}"
-                    ) from None
-                if w < 0 or h < 0:
-                    raise AnnotationParseError(f"{path}:{lineno}: negative box size {w}x{h}")
-                label = parts[base + 5]
-                category = PEDESTRIAN_CATEGORY if label.lower() in _PERSON_LABELS else -1
-                box = _row_box(x, y, w, h, f"{path}:{lineno}: object {j}")
-                objects.append(
-                    GroundTruth(
-                        box=clamp_box(box, dims),
-                        object_id=object_id,
-                        category=category,
-                    )
-                )
+            )
     return AnnotationSet(dims=dims, frames=_frame_tuples(by_frame))
 
 

@@ -1,4 +1,4 @@
-"""Axis-aligned box arithmetic and frame/crop coordinate transforms.
+"""Axis-aligned box arithmetic and the frame-to-crop coordinate transform.
 
 All coordinates are continuous frame pixels; rounding to integer pixel
 grids only ever happens at detector boundaries, never here.
@@ -50,10 +50,6 @@ class BoundingBox(namedtuple("BoundingBox", "x_min y_min x_max y_max")):
         x_min, y_min, x_max, y_max = self
         return (x_max - x_min) * (y_max - y_min)
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0
-
     def contains(self, other: BoundingBox) -> bool:
         """True when `other` lies entirely inside this box (borders included)."""
         return (
@@ -62,16 +58,6 @@ class BoundingBox(namedtuple("BoundingBox", "x_min y_min x_max y_max")):
             and other.x_max <= self.x_max
             and other.y_max <= self.y_max
         )
-
-    def intersect(self, other: BoundingBox) -> BoundingBox | None:
-        """Overlap box of the two rectangles, or None when the overlap has no area."""
-        x_min = max(self.x_min, other.x_min)
-        y_min = max(self.y_min, other.y_min)
-        x_max = min(self.x_max, other.x_max)
-        y_max = min(self.y_max, other.y_max)
-        if x_max <= x_min or y_max <= y_min:
-            return None
-        return BoundingBox(x_min, y_min, x_max, y_max)
 
 
 @dataclass(frozen=True)
@@ -213,13 +199,6 @@ class BoxGrid:
         return hits
 
 
-def center_distance(a: BoundingBox, b: BoundingBox) -> float:
-    """Euclidean distance between box centers, in pixels."""
-    ax, ay = a.center
-    bx, by = b.center
-    return math.hypot(ax - bx, ay - by)
-
-
 def clamp_box(box: BoundingBox, dims: FrameDims) -> BoundingBox:
     """Clamp every coordinate into the frame; may return a zero-area box."""
     w, h = float(dims.width), float(dims.height)
@@ -236,25 +215,6 @@ def _check_region(region: BoundingBox, target_width: float, target_height: float
         raise ValueError(f"zero-area crop region: {tuple(region)}")
     if target_width <= 0 or target_height <= 0:
         raise ValueError(f"target resolution must be positive, got {target_width}x{target_height}")
-
-
-def to_frame_coords(
-    box: BoundingBox, region: BoundingBox, target_width: float, target_height: float
-) -> BoundingBox:
-    """Map a box from crop space (0..target size) back to frame coordinates.
-
-    The crop is the `region` rectangle of the frame resized to
-    target_width x target_height; this applies the inverse affine map.
-    """
-    _check_region(region, target_width, target_height)
-    sx = region.width / target_width
-    sy = region.height / target_height
-    return BoundingBox(
-        region.x_min + box.x_min * sx,
-        region.y_min + box.y_min * sy,
-        region.x_min + box.x_max * sx,
-        region.y_min + box.y_max * sy,
-    )
 
 
 def to_crop_coords(

@@ -1,13 +1,14 @@
 """Per-frame detection pipeline.
 
-Each frame runs a fixed schedule of detector calls: a downscaled
-full-frame pass on every full_frame_period-th frame (frame 0 included),
-plus the crop regions proposed on the previous frame. Region-local boxes
-are mapped back to frame coordinates, deduplicated with greedy NMS,
-passed through the temporal confidence filter, and the surviving boxes
-seed the next frame's crops. Detector calls happen in a fixed order
-(full frame first, then crops in proposal order), so a deterministic
-detector makes the whole replay deterministic.
+plan_frame decides each frame's detector calls: a downscaled full-frame
+pass on every full_frame_period-th frame (frame 0 included), plus the
+crop regions proposed on the previous frame. process_frame runs those
+calls in one loop, maps the region-local boxes back to frame
+coordinates, deduplicates them with greedy NMS and passes them through
+the temporal confidence filter; the surviving boxes seed the next
+frame's crops. Detector calls happen in a fixed order (full frame first,
+then crops in proposal order), so a deterministic detector makes the
+whole replay deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .crop_proposal import (
     LARGE_TIER_DEFAULT,
@@ -97,6 +98,17 @@ class FrameResult:
     pixels_processed: int
 
 
+@dataclass(frozen=True)
+class FramePlan:
+    """One frame's detector calls in execution order, each a (region,
+    input_width, input_height, source) tuple: the full-frame pass first on
+    a refresh frame, then the crops in proposal order. `crops` are the
+    crops among those calls."""
+
+    calls: tuple[tuple[BoundingBox, int, int, str], ...]
+    crops: tuple[Crop, ...]
+
+
 class FrameProcessingError(Exception):
     """A detector call failed; carries the frame and region being processed."""
 
@@ -135,24 +147,6 @@ def merge_detections(groups: Sequence[Sequence[Detection]], nms_iou: float) -> l
     return kept
 
 
-def _call_detector(
-    detector: Detector,
-    frame_handle: int,
-    region: BoundingBox,
-    input_width: float,
-    input_height: float,
-    frame_index: int,
-) -> Sequence[Detection]:
-    try:
-        return detector.detect(frame_handle, region, input_width, input_height)
-    except Exception as exc:
-        raise FrameProcessingError(
-            frame_index,
-            region,
-            f"detector failed on frame {frame_index}, region {tuple(region)}: {exc}",
-        ) from exc
-
-
 def _to_frame_detections(
     raw: Sequence[Detection],
     region: BoundingBox,
@@ -163,8 +157,9 @@ def _to_frame_detections(
 ) -> list[Detection]:
     """Map region-local boxes to frame space, clip to the frame, tag the source.
 
-    The arithmetic is to_frame_coords' and the clip BoundingBox.intersect's,
-    inlined, with the region checked once per call.
+    The map inverts to_crop_coords' affine map and the clip keeps the
+    overlap with the frame, as tests/naive_reference.py states them step by
+    step; here they are inlined, with the region checked once per call.
     """
     if not raw:
         return []
@@ -179,8 +174,8 @@ def _to_frame_detections(
         bx0, by0, bx1, by1 = det.box
         x0, y0, x1, y1 = rx0 + bx0 * sx, ry0 + by0 * sy, rx0 + bx1 * sx, ry0 + by1 * sy
         if not (isfinite(x0) and isfinite(y0) and isfinite(x1) and isfinite(y1)):
-            BoundingBox(x0, y0, x1, y1)  # raises to_frame_coords' error
-        # max(a, b) and min(a, b) as intersect computes them, -0.0 included
+            BoundingBox(x0, y0, x1, y1)  # raises the non-finite coordinate error
+        # max(a, b) and min(a, b) as the clip computes them, -0.0 included
         x0 = 0.0 if 0.0 > x0 else x0
         y0 = 0.0 if 0.0 > y0 else y0
         x1 = fw if fw < x1 else x1
@@ -191,6 +186,20 @@ def _to_frame_detections(
     return out
 
 
+def plan_frame(state: FrameState, config: PipelineConfig, dims: FrameDims) -> FramePlan:
+    """Decide one frame's detector calls. The refresh rule and
+    crops_on_refresh are read here and nowhere else."""
+    refresh = config.full_frame_only or state.frame_index % config.full_frame_period == 0
+    run_crops = not config.full_frame_only and (not refresh or config.crops_on_refresh)
+    crops = state.active_crops if run_crops else ()
+    calls = []
+    if refresh:
+        calls.append((dims.rect, config.full_frame_width, config.full_frame_height, FULL_FRAME))
+    for i, crop in enumerate(crops):
+        calls.append((crop.region, crop.target_width, crop.target_height, crop_source(i)))
+    return FramePlan(tuple(calls), crops)
+
+
 def process_frame(
     frame_handle: int,
     state: FrameState,
@@ -198,53 +207,27 @@ def process_frame(
     config: PipelineConfig,
     dims: FrameDims,
 ) -> tuple[FrameResult, FrameState]:
-    """Run one frame through the schedule; returns the result and next state."""
+    """Run one frame's planned calls, then merge, filter and propose; returns
+    the result and next state."""
     t_start = perf_counter()
-    refresh = config.full_frame_only or state.frame_index % config.full_frame_period == 0
+    plan = plan_frame(state, config, dims)
     groups: list[list[Detection]] = []
-    pixels = 0
-
-    full_frame_s = 0.0
-    if refresh:
-        t0 = perf_counter()
-        raw = _call_detector(
-            detector,
-            frame_handle,
-            dims.rect,
-            config.full_frame_width,
-            config.full_frame_height,
-            state.frame_index,
-        )
-        groups.append(
-            _to_frame_detections(
-                raw, dims.rect, config.full_frame_width, config.full_frame_height, FULL_FRAME, dims
-            )
-        )
-        full_frame_s = perf_counter() - t0
-        pixels += config.full_frame_width * config.full_frame_height
-
-    crops_s = 0.0
-    run_crops = not config.full_frame_only and (not refresh or config.crops_on_refresh)
-    if run_crops:
-        t0 = perf_counter()
-        for i, crop in enumerate(state.active_crops):
-            raw = _call_detector(
-                detector,
-                frame_handle,
-                crop.region,
-                crop.target_width,
-                crop.target_height,
+    t_calls = t_full = perf_counter()
+    for region, input_width, input_height, source in plan.calls:
+        try:
+            raw = detector.detect(frame_handle, region, input_width, input_height)
+        except Exception as exc:
+            raise FrameProcessingError(
                 state.frame_index,
-            )
-            groups.append(
-                _to_frame_detections(
-                    raw, crop.region, crop.target_width, crop.target_height, crop_source(i), dims
-                )
-            )
-            pixels += crop.target_width * crop.target_height
-        crops_s = perf_counter() - t0
+                region,
+                f"detector failed on frame {state.frame_index}, region {tuple(region)}: {exc}",
+            ) from exc
+        groups.append(_to_frame_detections(raw, region, input_width, input_height, source, dims))
+        if source == FULL_FRAME:  # planned first, so the crop calls start here
+            t_full = perf_counter()
 
     t0 = perf_counter()
+    crops_s = t0 - t_full if plan.crops else 0.0
     merged = merge_detections(groups, config.nms_iou)
     nms_s = perf_counter() - t0
 
@@ -263,7 +246,7 @@ def process_frame(
     proposal_s = perf_counter() - t0
 
     timing = FrameTiming(
-        full_frame_s=full_frame_s,
+        full_frame_s=t_full - t_calls,
         crops_s=crops_s,
         nms_s=nms_s,
         proposal_s=proposal_s,
@@ -273,9 +256,9 @@ def process_frame(
     result = FrameResult(
         frame_index=state.frame_index,
         detections=tuple(accepted),
-        crops_used=state.active_crops,
+        crops_used=plan.crops,
         timing=timing,
-        pixels_processed=pixels,
+        pixels_processed=sum(width * height for _, width, height, _ in plan.calls),
     )
     next_state = FrameState(
         frame_index=state.frame_index + 1,
@@ -290,7 +273,6 @@ def run_replay(
     config: PipelineConfig,
     dims: FrameDims,
     n_frames: int,
-    on_frame: Callable[[FrameResult], None] | None = None,
 ) -> list[FrameResult]:
     """Process frames 0..n_frames-1 in order, using frame indices as handles."""
     if n_frames < 0:
@@ -300,8 +282,6 @@ def run_replay(
     for frame in range(n_frames):
         result, state = process_frame(frame, state, detector, config, dims)
         results.append(result)
-        if on_frame is not None:
-            on_frame(result)
     return results
 
 

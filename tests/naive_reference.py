@@ -9,6 +9,7 @@ union-find, no incremental aggregates, no pruning, no inlined arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from random import Random
 from typing import Mapping
@@ -17,14 +18,44 @@ from cropdet.crop_proposal import COVERAGE_MIN
 from cropdet.datasets_eval import AnnotationSet
 from cropdet.detections import Detection
 from cropdet.detector_stub import OracleConfig, oracle_detect
-from cropdet.geometry import (
-    BoundingBox,
-    FrameDims,
-    center_distance,
-    intersection_area,
-    iou,
-    to_frame_coords,
-)
+from cropdet.geometry import BoundingBox, FrameDims, _check_region, intersection_area, iou
+
+
+def center_distance(a: BoundingBox, b: BoundingBox) -> float:
+    """Euclidean distance between box centers, in pixels."""
+    ax, ay = (a.x_min + a.x_max) / 2.0, (a.y_min + a.y_max) / 2.0
+    bx, by = (b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0
+    return math.hypot(ax - bx, ay - by)
+
+
+def intersect(a: BoundingBox, b: BoundingBox) -> BoundingBox | None:
+    """Overlap box of the two rectangles, or None when the overlap has no area."""
+    x_min = max(a.x_min, b.x_min)
+    y_min = max(a.y_min, b.y_min)
+    x_max = min(a.x_max, b.x_max)
+    y_max = min(a.y_max, b.y_max)
+    if x_max <= x_min or y_max <= y_min:
+        return None
+    return BoundingBox(x_min, y_min, x_max, y_max)
+
+
+def to_frame_coords(
+    box: BoundingBox, region: BoundingBox, target_width: float, target_height: float
+) -> BoundingBox:
+    """Map a box from crop space (0..target size) back to frame coordinates.
+
+    The crop is the `region` rectangle of the frame resized to
+    target_width x target_height; this applies the inverse affine map.
+    """
+    _check_region(region, target_width, target_height)
+    sx = region.width / target_width
+    sy = region.height / target_height
+    return BoundingBox(
+        region.x_min + box.x_min * sx,
+        region.y_min + box.y_min * sy,
+        region.x_min + box.x_max * sx,
+        region.y_min + box.y_max * sy,
+    )
 
 
 def _naive_sweep(
@@ -158,7 +189,7 @@ def naive_to_frame_detections(
     """Region-local detections mapped by to_frame_coords and clipped by intersect."""
     out = []
     for det in raw:
-        clipped = to_frame_coords(det.box, region, input_width, input_height).intersect(dims.rect)
+        clipped = intersect(to_frame_coords(det.box, region, input_width, input_height), dims.rect)
         if clipped is not None:
             out.append(replace(det, box=clipped, source=source))
     return out

@@ -456,6 +456,11 @@ def test_eval_rejects_bad_prediction_rows(tmp_path, scene_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {predictions}:1") and err.count("\n") == 1
 
+    predictions.write_bytes(b'{"frame": 0, "detections": []}\n\xff\xfe{}\n')
+    assert run_cli("eval", "--annotations", scene_path, "--predictions", predictions) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {predictions}:2: not UTF-8") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("flag", ["--annotations", "--config"])
 def test_deeply_nested_json_fails_in_one_line(tmp_path, scene_path, capsys, flag):
@@ -467,6 +472,18 @@ def test_deeply_nested_json_fails_in_one_line(tmp_path, scene_path, capsys, flag
     assert run_cli("run", "--annotations", annotations, "--config", config,
                    "--out", tmp_path / "out") == 1
     assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("name", ["scene.json", "seq.txt", "cfg.json"])
+def test_invalid_utf8_names_the_file_and_line(tmp_path, scene_path, capsys, name):
+    bad = tmp_path / name
+    bad.write_bytes(b'{"width": 1920,\n"height": \xff1080}\n' if name.endswith(".json")
+                    else b"1,1,10,10,20,40,1,1,0,0\n\xff\xfe1,1,10,10,20,40,1,1,0,0\n")
+    annotations, config = (scene_path, bad) if name == "cfg.json" else (bad, None)
+    argv = ["run", "--annotations", annotations, "--out", tmp_path / "out"]
+    assert run_cli(*argv, *(["--config", config] if config else [])) == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 (invalid start byte, byte 0xff)\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", [

@@ -107,11 +107,13 @@ def test_visdrone_clamps_to_frame(tmp_path):
         ("1,2,3,4,-5,6,7,1,9,10", "negative box size"),
         ("1,2,nan,4,5,6,7,1,9,10", "non-finite coordinate x_min=nan"),
         ("1,2,3,4,inf,6,7,1,9,10", "non-finite coordinate x_max=inf"),
+        # bytes 0xff 0xfe, written through surrogateescape
+        ("\udcff\udcfe1,2,3,4,5,6,7,1,9,10", "not UTF-8 (invalid start byte, byte 0xff)"),
     ],
 )
 def test_visdrone_rejects_bad_rows(tmp_path, row, fragment):
     path = tmp_path / "seq.txt"
-    path.write_text("1,1,10,10,20,40,1,1,0,0\n" + row + "\n")
+    path.write_text("1,1,10,10,20,40,1,1,0,0\n" + row + "\n", "utf-8", "surrogateescape")
     with pytest.raises(AnnotationParseError) as err:
         parse_visdrone(path, DIMS)
     message = str(err.value)
@@ -123,6 +125,17 @@ def test_visdrone_skips_blank_lines(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text("\n1,1,10,10,20,40,1,1,0,0\n\n")
     assert parse_visdrone(path, DIMS).frame_count == 1
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_text_readers_split_lines_as_open_does(tmp_path, end):
+    rows = ["1,1,10,10,20,40,1,1,0,0", "2,1,12,10,20,40,1,1,0,0", "2,2,50,50,20,40,1,1,0,0"]
+    path = tmp_path / "seq.txt"
+    path.write_bytes(end.join(rows).encode() + end.encode())
+    assert [len(f) for f in parse_visdrone(path, DIMS).frames] == [1, 2]
+    path.write_bytes(end.join(rows[:2] + ["\xff"]).encode("latin-1"))
+    with pytest.raises(AnnotationParseError, match=f"{path}:3: not UTF-8"):
+        parse_visdrone(path, DIMS)
 
 
 # ---------------------------------------------------------- darklabel
@@ -197,11 +210,13 @@ def test_darklabel_empty_frame_row(tmp_path):
         ("0,1,5,10,10,-20,40,person", "negative box size"),
         ("0,1,5,10,nan,20,40,person", "object 0: non-finite coordinate y_min=nan"),
         ("0,1,5,10,10,20,inf,person", "object 0: non-finite coordinate y_max=inf"),
+        # byte 0xe2 opens a three-byte sequence that "on" does not continue
+        ("0,1,5,10,10,20,40,pers\udce2on", "not UTF-8 (invalid continuation byte, byte 0xe2)"),
     ],
 )
 def test_darklabel_rejects_bad_rows(tmp_path, row, fragment):
     path = tmp_path / "seq.csv"
-    path.write_text(row + "\n")
+    path.write_text(row + "\n", "utf-8", "surrogateescape")
     with pytest.raises(AnnotationParseError) as err:
         parse_darklabel(path, DIMS)
     message = str(err.value)

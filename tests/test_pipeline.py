@@ -16,6 +16,7 @@ from cropdet.pipeline import (
     detection_to_dict,
     frame_result_to_dict,
     merge_detections,
+    plan_frame,
     process_frame,
     run_replay,
     timing_to_dict,
@@ -77,10 +78,13 @@ def test_crops_on_refresh_toggle():
             return self.inner.detect(frame_handle, region, w, h)
 
     spy = Spy()
-    run_replay(spy, PipelineConfig(crops_on_refresh=False), scene.dims, 6)
+    results = run_replay(spy, PipelineConfig(crops_on_refresh=False), scene.dims, 6)
     # frame 5 is a refresh: full frame only, no crop calls
     frame5 = [full for f, full in spy.calls if f == 5]
     assert frame5 == [True]
+    # and its record lists no crop, as none ran
+    assert results[5].crops_used == ()
+    assert results[5].pixels_processed == 416 * 416
 
     spy = Spy()
     run_replay(spy, PipelineConfig(crops_on_refresh=True), scene.dims, 6)
@@ -233,6 +237,64 @@ def test_state_threads_through_replay():
     for prev, curr in zip(results, results[1:]):
         assert len(curr.crops_used) >= 1
         assert curr.pixels_processed > 0
+
+
+CROP_A = Crop(BoundingBox(0.0, 0.0, 400.0, 200.0), "large", 224, 128, (0, 1))
+CROP_B = Crop(BoundingBox(500.0, 0.0, 640.0, 96.0), "small", 160, 96, (2,))
+FULL_CALL = (DIMS.rect, 416, 416, "full_frame")
+CROP_CALLS = ((CROP_A.region, 224, 128, "crop:0"), (CROP_B.region, 160, 96, "crop:1"))
+
+
+@pytest.mark.parametrize("crops_on_refresh, calls, crops", [
+    (True, (FULL_CALL, *CROP_CALLS), (CROP_A, CROP_B)),
+    (False, (FULL_CALL,), ()),
+])
+def test_plan_of_refresh_frame(crops_on_refresh, calls, crops):
+    state = FrameState(frame_index=10, active_crops=(CROP_A, CROP_B))
+    plan = plan_frame(state, PipelineConfig(crops_on_refresh=crops_on_refresh), DIMS)
+    assert plan.calls == calls
+    assert plan.crops == crops
+
+
+def test_plan_of_non_refresh_frame_runs_the_crops_only():
+    state = FrameState(frame_index=11, active_crops=(CROP_A, CROP_B))
+    plan = plan_frame(state, PipelineConfig(crops_on_refresh=False), DIMS)
+    assert plan.calls == CROP_CALLS
+    assert plan.crops == (CROP_A, CROP_B)
+
+
+def test_plan_of_full_frame_only_ignores_crops():
+    state = FrameState(frame_index=3, active_crops=(CROP_A,))
+    plan = plan_frame(state, PipelineConfig(full_frame_only=True), DIMS)
+    assert plan.calls == (FULL_CALL,)
+    assert plan.crops == ()
+
+
+def test_plan_of_non_refresh_frame_without_crops_is_empty(counting_detector):
+    state = FrameState(frame_index=1)
+    assert plan_frame(state, PipelineConfig(), DIMS).calls == ()
+    detector = counting_detector(DIMS)
+    result, _ = process_frame(1, state, detector, PipelineConfig(), DIMS)
+    assert detector.regions == []
+    assert result.pixels_processed == 0
+    assert result.crops_used == ()
+
+
+def test_pixels_and_crops_recorded_are_those_of_the_calls_made():
+    scene = fidelity_scene(12)
+    oracle = OracleDetector(scene, OracleConfig(jitter_fraction=0.0))
+    made = []
+
+    class Spy:
+        def detect(self, frame_handle, region, w, h):
+            made.append((frame_handle, w * h, region == scene.dims.rect))
+            return oracle.detect(frame_handle, region, w, h)
+
+    config = PipelineConfig(full_frame_period=4, crops_on_refresh=False)
+    for result in run_replay(Spy(), config, scene.dims, 12):
+        calls = [(px, full) for frame, px, full in made if frame == result.frame_index]
+        assert result.pixels_processed == sum(px for px, _ in calls)
+        assert len(result.crops_used) == sum(not full for _, full in calls)
 
 
 def test_pixels_processed_accounting():
