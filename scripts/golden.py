@@ -27,6 +27,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
 from cropdet.cli import main as cropdet_main
 from cropdet.datasets_eval import save_annotations
@@ -45,9 +46,11 @@ LINE_DIGITS = 4
 SHOWN_CHARS = 300
 
 
-def run_outputs(run: str, work: Path) -> dict[str, bytes]:
-    """The deterministic files of one run, made inside the empty directory `work`."""
+def run_outputs(run: str, work: Path, extra_flags: Sequence[str] = ()) -> dict[str, bytes]:
+    """The deterministic files of one run, made inside the empty directory
+    `work`, with extra_flags appended to the run's flags."""
     scene, flags = RUNS[run]
+    flags = (*flags, *extra_flags)
     save_annotations(SCENES[scene](), work / f"{scene}.json")
     cwd = os.getcwd()
     os.chdir(work)

@@ -305,7 +305,6 @@ class EvalReport:
             "iou_threshold": self.iou_threshold,
             "interpolation": self.interpolation,
             "mean_pixels_per_frame": self.mean_pixels_per_frame,
-            "pr_curve": [[r, p] for r, p in self.pr_curve],
         }
 
 

@@ -12,8 +12,9 @@ The line protocol drives an external detector process over stdin/stdout:
     response:  BOXES <n>
                <x_min> <y_min> <x_max> <y_max> <confidence>   (n times)
 
-One request is in flight at a time; coordinates in both directions are in
-the resized crop's pixel space.
+Requests are answered in order; up to PIPE_BUF bytes of unanswered
+requests may be in flight. Coordinates in both directions are in the
+resized crop's pixel space.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import hashlib
 import math
 import select
 import subprocess
+from collections import deque
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Sequence, TextIO
 
 from .datasets_eval import AnnotationSet, GroundTruth
 from .detections import Detection
@@ -164,6 +166,12 @@ def format_request(
     )
 
 
+def _encode_request(
+    frame_id: int, region: BoundingBox, input_width: float, input_height: float
+) -> bytes:
+    return (format_request(frame_id, region, input_width, input_height) + "\n").encode("ascii")
+
+
 def parse_request(line: str) -> tuple[int, BoundingBox, float, float]:
     parts = line.split()
     if len(parts) != 8 or parts[0] != "DETECT":
@@ -225,28 +233,69 @@ def parse_box_line(line: str) -> Detection:
 
 
 class LineProtocolClient:
-    """Request/response client over binary byte streams.
+    """Request/response client over binary byte streams, with requests
+    sent ahead of their answers.
+
+    Requests are answered in order. send_ahead queues requests; at most
+    `window` bytes of requests whose answers have not been read are
+    written at a time, in one write each time the window has room.
+    request then reads the answer at the head of the queue, which must be
+    the request it was given. With the window no larger than PIPE_BUF, no
+    larger than any pipe's capacity, a write never waits for the peer to
+    read, so a peer blocked writing answers cannot deadlock the client.
 
     Reads are buffered internally; when a timeout is set and the reader
     exposes a file descriptor, waiting for more bytes goes through
     select, so a silent peer raises instead of hanging forever.
     """
 
-    def __init__(self, writer: BinaryIO, reader: BinaryIO, timeout: float | None = None) -> None:
+    def __init__(
+        self,
+        writer: BinaryIO,
+        reader: BinaryIO,
+        timeout: float | None = None,
+        window: int = select.PIPE_BUF,
+    ) -> None:
         self._writer = writer
         self._reader = reader
         self._timeout = timeout
+        self._window = window
         self._buffer = bytearray()
+        self._unsent: deque[bytes] = deque()
+        self._unanswered: deque[bytes] = deque()
+        self._unanswered_bytes = 0
+        self._send_failure: OSError | ValueError | None = None
+
+    @property
+    def awaiting_answer(self) -> bool:
+        """Whether a request has been written whose answer is not yet read."""
+        return bool(self._unanswered)
+
+    def send_ahead(self, requests: Iterable[tuple[int, BoundingBox, float, float]]) -> None:
+        """Queue requests, in the order request will be called for them,
+        and write as many as the window holds. A failed write is raised by
+        the request call of the first request it affected, not here."""
+        for frame_id, region, input_width, input_height in requests:
+            self._unsent.append(_encode_request(frame_id, region, input_width, input_height))
+        self._send()
 
     def request(
         self, frame_id: int, region: BoundingBox, input_width: float, input_height: float
     ) -> list[Detection]:
-        payload = (format_request(frame_id, region, input_width, input_height) + "\n").encode("ascii")
-        try:
-            self._writer.write(payload)
-            self._writer.flush()
-        except (OSError, ValueError) as exc:
-            raise DetectorError(f"failed to send request: {exc}") from exc
+        payload = _encode_request(frame_id, region, input_width, input_height)
+        if not (self._unanswered or self._unsent):
+            self._unsent.append(payload)
+        head = (self._unanswered or self._unsent)[0]
+        if payload != head:
+            raise ProtocolError(
+                f"request out of order: {payload.decode().strip()!r} "
+                f"while {head.decode().strip()!r} is next"
+            )
+        if not self._unanswered:
+            self._send()
+            if self._send_failure is not None:
+                exc = self._send_failure
+                raise DetectorError(f"failed to send request: {exc}") from exc
 
         header = self._read_line()
         if header is None:
@@ -258,7 +307,34 @@ class LineProtocolClient:
             if line is None:
                 raise ProtocolError(f"truncated response: expected {count} boxes, got {i}")
             detections.append(parse_box_line(line))
+        self._unanswered_bytes -= len(self._unanswered.popleft())
+        self._send()
         return detections
+
+    def _send(self) -> None:
+        """Write, in one write, the queued requests that fit in the window
+        (at least one when nothing is awaiting an answer). After a failed
+        write nothing more is sent; the error is kept for request."""
+        if self._send_failure is not None or not self._unsent:
+            return
+        size = self._unanswered_bytes
+        batch = []
+        for payload in self._unsent:
+            if size + len(payload) > self._window and (batch or self._unanswered):
+                break
+            size += len(payload)
+            batch.append(payload)
+        if not batch:
+            return
+        try:
+            self._writer.write(b"".join(batch))
+            self._writer.flush()
+        except (OSError, ValueError) as exc:
+            self._send_failure = exc
+            return
+        for _ in batch:
+            self._unanswered.append(self._unsent.popleft())
+        self._unanswered_bytes = size
 
     def _read_line(self) -> str | None:
         """Next newline-terminated line, or None on EOF (partial lines included)."""
@@ -302,8 +378,11 @@ class LineProtocolClient:
 class ExternalProcessDetector:
     """Runs a detector as a child process speaking the line protocol.
 
-    The child must answer each request before the next is issued;
-    concurrent use is not supported.
+    Requests are answered in order; up to PIPE_BUF bytes of unanswered
+    requests may be in flight. send_ahead writes a frame's requests before
+    their answers are read; detect must then be called for each of them,
+    in the same order. Any DetectorError, an out-of-order detect included,
+    kills the child. Concurrent use is not supported.
     """
 
     def __init__(self, command: Sequence[str], timeout: float | None = 10.0) -> None:
@@ -317,10 +396,21 @@ class ExternalProcessDetector:
         self._client = LineProtocolClient(self._proc.stdin, self._proc.stdout, timeout=timeout)
         self._kill_reason: str | None = None
 
+    def send_ahead(self, frame_handle: int, calls: Iterable[Sequence]) -> None:
+        """Send the requests of calls, each (region, input_width, input_height,
+        ...), ahead of their detect calls. A failure is raised by the detect
+        call of the first request it affected."""
+        if self._kill_reason is None:
+            frame_id = int(frame_handle)
+            self._client.send_ahead((frame_id, call[0], call[1], call[2]) for call in calls)
+
     def detect(
         self, frame_handle: int, region: BoundingBox, input_width: float, input_height: float
     ) -> list[Detection]:
-        if self._proc.poll() is not None:
+        # a child that exited may still have answered the requests already sent
+        if self._kill_reason is not None or (
+            not self._client.awaiting_answer and self._proc.poll() is not None
+        ):
             reason = self._kill_reason or f"exited with code {self._proc.returncode}"
             raise DetectorError(f"detector process {reason}")
         try:

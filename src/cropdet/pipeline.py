@@ -37,6 +37,13 @@ class Detector(Protocol):
     detect receives the frame handle, the frame-space region to sample,
     and the input size the region is resized to; it returns boxes in
     that resized input's coordinate space.
+
+    A detector may also define send_ahead(frame_handle, calls). When it
+    does, process_frame calls it with the frame's planned calls, each
+    (region, input_width, input_height, source), before the first detect
+    of a frame with more than one call, and then calls detect for each of
+    them in that order. A remote detector can use it to send requests
+    ahead of their answers; a failure it meets is raised by a later detect.
     """
 
     def detect(
@@ -213,6 +220,9 @@ def process_frame(
     plan = plan_frame(state, config, dims)
     groups: list[list[Detection]] = []
     t_calls = t_full = perf_counter()
+    send_ahead = getattr(detector, "send_ahead", None)
+    if send_ahead is not None and len(plan.calls) > 1:
+        send_ahead(frame_handle, plan.calls)
     for region, input_width, input_height, source in plan.calls:
         try:
             raw = detector.detect(frame_handle, region, input_width, input_height)

@@ -391,6 +391,13 @@ def test_run_with_external_detector_matches_oracle(tmp_path, scene_json, respond
     ).read_bytes()
 
 
+def test_run_with_external_detector_that_exits_prints_one_error(tmp_path, scene_path, capsys):
+    assert run_cli("run", "--annotations", scene_path, "--out", tmp_path / "o",
+                   "--detector", "external", "--external-cmd", "false") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: detector failed on frame 0") and err.count("\n") == 1
+
+
 # ----------------------------------------------------------------- propose
 
 
@@ -428,10 +435,10 @@ def test_eval_reproduces_run_report(tmp_path, scene_path, capsys):
                    "--predictions", out / "detections.jsonl", "--out", eval_out) == 0
     eval_report = json.loads(capsys.readouterr().out)
     for key in ("mean_ap", "true_positives", "false_positives", "false_negatives",
-                "n_ground_truth", "n_predictions", "pr_curve"):
+                "n_ground_truth", "n_predictions"):
         assert eval_report[key] == run_report[key], key
     assert json.loads((eval_out / "report.json").read_text()) == eval_report
-    assert (eval_out / "pr_curve.csv").exists()
+    assert (eval_out / "pr_curve.csv").read_bytes() == (out / "pr_curve.csv").read_bytes()
 
 
 def test_eval_rejects_bad_prediction_rows(tmp_path, scene_path, capsys):

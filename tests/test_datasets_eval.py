@@ -358,7 +358,7 @@ def test_report_json_dict_and_pr_csv(tmp_path):
     assert "ap_per_class" not in data
     assert "fps" not in data
     assert data["mean_pixels_per_frame"] is None
-    assert data["pr_curve"] == [[0.5, 1.0], [0.5, 0.5]]
+    assert "pr_curve" not in data  # pr_curve.csv holds the curve
 
     path = tmp_path / "pr.csv"
     write_pr_csv(report, path)

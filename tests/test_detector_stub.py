@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import subprocess
 import sys
 import time
 
@@ -26,7 +27,8 @@ from cropdet.detector_stub import (
     serve_requests,
 )
 from cropdet.geometry import BoundingBox, FrameDims
-from cropdet.synthetic import fidelity_scene
+from cropdet.pipeline import FrameProcessingError, PipelineConfig, run_replay
+from cropdet.synthetic import fidelity_scene, low_resolution_scene
 from naive_reference import naive_oracle_detect
 
 CLEAN = OracleConfig(rng_seed=0, jitter_fraction=0.0)
@@ -374,3 +376,167 @@ def test_oracle_detector_matches_naive_scan(case):
     for frame, region, size in calls:
         got = detector.detect(frame, region, size, size * 0.6)
         assert got == naive_oracle_detect(annotations, config, frame, region, size, size * 0.6)
+
+
+# ------------------------------------------------------- sent-ahead requests
+
+
+def test_client_keeps_unanswered_requests_within_the_window():
+    """Each write holds whole requests and never takes the unanswered
+    bytes past the window; answers are read in order."""
+
+    class Writes(io.BytesIO):
+        def __init__(self):
+            super().__init__()
+            self.sizes = []
+
+        def write(self, data):
+            self.sizes.append(len(data))
+            return super().write(data)
+
+    requests = [(5, BoundingBox(0.0, 0.0, 10.0 + k, 10.0), 100, 100) for k in range(12)]
+    lines = [format_request(*r).encode() + b"\n" for r in requests]
+    size = len(lines[0])
+    assert all(len(line) == size for line in lines)
+    answers = b"".join(f"BOXES 1\n0.0 0.0 1.0 1.0 {k / 100!r}\n".encode() for k in range(12))
+    window = 3 * size + 5  # three requests at a time
+    writer = Writes()
+    client = LineProtocolClient(writer, io.BytesIO(answers), window=window)
+    client.send_ahead(requests)
+    assert writer.sizes == [3 * size]
+    for k, request in enumerate(requests):
+        assert client.request(*request) == [Detection(BoundingBox(0.0, 0.0, 1.0, 1.0), k / 100)]
+        assert len(writer.getvalue()) - (k + 1) * size <= window
+    # one request is written each time an answer makes room for it
+    assert writer.sizes == [3 * size] + [size] * 9
+    assert writer.getvalue() == b"".join(lines)
+
+
+def test_failed_send_is_raised_by_the_request_it_affected():
+    """send_ahead keeps a failed write to itself; the answers already
+    owed are still read, and the first unsent request raises it."""
+
+    class BreaksAfterFirstWrite(io.BytesIO):
+        def write(self, data):
+            if self.tell():
+                raise BrokenPipeError("pipe closed")
+            return super().write(data)
+
+    requests = [(0, BoundingBox(0.0, 0.0, 10.0 + k, 10.0), 100, 100) for k in range(3)]
+    window = len(format_request(*requests[0])) + 1  # one request at a time
+    client = LineProtocolClient(BreaksAfterFirstWrite(), io.BytesIO(b"BOXES 0\n"), window=window)
+    client.send_ahead(requests)
+    assert client.request(*requests[0]) == []  # its answer's read tries the failing write
+    with pytest.raises(DetectorError, match="failed to send request") as info:
+        client.request(*requests[1])
+    assert isinstance(info.value.__cause__, BrokenPipeError)
+
+
+def test_sent_ahead_requests_get_sequential_answers(responder_cmd, scene_json):
+    scene = fidelity_scene(6)
+    path = scene_json(scene)
+    config = OracleConfig(rng_seed=4, jitter_fraction=0.05)
+    local = OracleDetector(scene, config)
+    regions = [BoundingBox(300.0, 300.0, 600.0, 520.0), FRAME_REGION,
+               BoundingBox(0.0, 0.0, 960.0, 540.0), BoundingBox(1000.0, 400.0, 1400.0, 700.0)]
+    sizes = [(224, 128), (416, 416), (160, 96), (224, 128)]
+    cmd = responder_cmd("oracle", str(path), "4", "0.05")
+    with ExternalProcessDetector(cmd, timeout=30.0) as remote:
+        for frame in range(7):  # frame 6 lies past the scene: no boxes
+            calls = [(r, w, h, "tag") for r, (w, h) in zip(regions[frame % 2:], sizes)]
+            if frame != 3:  # frame 3 is asked one request at a time
+                remote.send_ahead(frame, calls)
+            for region, w, h, _ in calls:
+                assert remote.detect(frame, region, w, h) == local.detect(frame, region, w, h)
+
+
+def test_out_of_order_detect_kills_the_child(responder_cmd):
+    first = BoundingBox(0.0, 0.0, 50.0, 50.0)
+    second = BoundingBox(10.0, 0.0, 50.0, 50.0)
+    detector = ExternalProcessDetector(responder_cmd("empty"), timeout=10.0)
+    detector.send_ahead(0, [(first, 100, 100), (second, 100, 100)])
+    with pytest.raises(ProtocolError, match="out of order"):
+        detector.detect(0, second, 100, 100)
+    assert detector._proc.stdout.closed
+    with pytest.raises(DetectorError, match="stopped after an earlier failure"):
+        detector.detect(0, first, 100, 100)
+    detector.close()
+
+
+class RecordingOracle(OracleDetector):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def detect(self, frame_handle, region, input_width, input_height):
+        self.calls.append((frame_handle, region))
+        return super().detect(frame_handle, region, input_width, input_height)
+
+
+@pytest.mark.parametrize("position", [1, -1])
+def test_child_death_is_blamed_on_the_first_unanswered_call(responder_cmd, scene_json, position):
+    """A child that answers N requests and exits: the replay fails on call
+    N+1, although the frame's later requests were sent ahead of it."""
+    scene = low_resolution_scene(6)
+    path = scene_json(scene)
+    recorder = RecordingOracle(scene, OracleConfig(rng_seed=0, jitter_fraction=0.05))
+    run_replay(recorder, PipelineConfig(), scene.dims, scene.frame_count)
+    frames = [frame for frame, _ in recorder.calls]
+    busy = next(f for f in frames if frames.count(f) >= 3)  # a frame with send-ahead
+    n = frames.index(busy) + (position % frames.count(busy))  # calls answered
+    assert 0 < n - frames.index(busy) < frames.count(busy)
+    cmd = responder_cmd("die-after", str(n), str(path), "0", "0.05")
+    with ExternalProcessDetector(cmd, timeout=10.0) as detector:
+        with pytest.raises(FrameProcessingError) as info:
+            run_replay(detector, PipelineConfig(), scene.dims, scene.frame_count)
+    assert (info.value.frame_index, info.value.region) == recorder.calls[n]
+    assert isinstance(info.value.__cause__, DetectorError)
+
+
+def test_answers_written_before_the_child_exits_are_read(responder_cmd, scene_json):
+    scene = fidelity_scene(2)
+    path = scene_json(scene)
+    local = OracleDetector(scene, CLEAN)
+    calls = [(BoundingBox(0.0, 0.0, 960.0 + k, 1080.0), 416, 416) for k in range(3)]
+    with ExternalProcessDetector(responder_cmd("die-after", "2", str(path)), timeout=10.0) as detector:
+        detector.send_ahead(1, calls)
+        assert detector._proc.wait(timeout=10.0) == 3
+        for region, w, h in calls[:2]:
+            assert detector.detect(1, region, w, h) == local.detect(1, region, w, h)
+        with pytest.raises(ProtocolError, match="no response"):
+            detector.detect(1, *calls[2])
+
+
+MANY_CALLS = """
+import select, sys
+from cropdet.detector_stub import ExternalProcessDetector
+from cropdet.geometry import BoundingBox
+
+frame, n_calls, n_boxes = 10**200, int(sys.argv[2]), int(sys.argv[3])
+calls = [(BoundingBox(k + 0.123456789, 1.0 / 3.0, k + 100.987654321, 2.0 / 3.0 + k),
+          224.0, 128.0) for k in range(n_calls)]
+sent = sum(len(f"DETECT {frame} {r.x_min!r} {r.y_min!r} {r.x_max!r} {r.y_max!r} {w!r} {h!r}\\n")
+           for r, w, h in calls)
+assert sent > 65536, sent
+with ExternalProcessDetector(sys.argv[1].split("|"), timeout=20.0) as detector:
+    detector.send_ahead(frame, calls)
+    peak = detector._client._unanswered_bytes
+    for region, w, h in calls:
+        assert len(detector.detect(frame, region, w, h)) == n_boxes
+        peak = max(peak, detector._client._unanswered_bytes)
+assert select.PIPE_BUF - 400 < peak <= select.PIPE_BUF, peak
+print("ok")
+"""
+
+
+def test_many_sent_ahead_calls_with_long_answers_complete(responder_cmd):
+    """300 requests ahead of 500-box answers (about 16 KB each). A
+    200-digit frame id makes the requests about 90 KB, more than a pipe's
+    default 64 KB: written at once, they would block the parent while the
+    child blocks writing answers nobody reads. The run is a child process,
+    so a deadlock fails on the timeout instead of hanging the suite."""
+    cmd = "|".join(responder_cmd("boxes", "500"))
+    done = subprocess.run([sys.executable, "-c", MANY_CALLS, cmd, "300", "500"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"

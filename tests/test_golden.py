@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,18 @@ def test_outputs_match_golden_digests(tmp_path, run):
     outputs = golden.run_outputs(run, tmp_path)
     messages = [golden.mismatch(run, name, MANIFEST[run][name], data)
                 for name, data in outputs.items()]
+    assert [m for m in messages if m] == []
+
+
+def test_external_detector_run_matches_golden_digests(tmp_path, responder_cmd):
+    """The low_resolution run through an oracle child process, at the CLI's
+    default seed and jitter: every output but config.json (which names the
+    detector) equals the in-process run's."""
+    command = shlex.join(responder_cmd("oracle", "low_resolution.json", "0", "0.05"))
+    outputs = golden.run_outputs("low_resolution", tmp_path,
+                                 ("--detector", "external", "--external-cmd", command))
+    messages = [golden.mismatch("low_resolution", name, MANIFEST["low_resolution"][name], data)
+                for name, data in outputs.items() if name != "config.json"]
     assert [m for m in messages if m] == []
 
 
