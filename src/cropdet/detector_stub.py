@@ -25,6 +25,7 @@ import select
 import subprocess
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import BinaryIO, Callable, Iterable, Sequence, TextIO
 
 from .datasets_eval import AnnotationSet, GroundTruth
@@ -232,66 +233,62 @@ def parse_box_line(line: str) -> Detection:
     return Detection(BoundingBox(x_min, y_min, x_max, y_max), confidence)
 
 
+_WINDOW = select.PIPE_BUF
+"""Most bytes of written requests whose answers are not yet read: no more
+than any pipe's capacity, so a write never waits for the peer to read."""
+
+
 class LineProtocolClient:
     """Request/response client over binary byte streams, with requests
     sent ahead of their answers.
 
     Requests are answered in order. send_ahead queues requests; at most
-    `window` bytes of requests whose answers have not been read are
+    _WINDOW bytes of requests whose answers have not been read are
     written at a time, in one write each time the window has room.
     request then reads the answer at the head of the queue, which must be
-    the request it was given. With the window no larger than PIPE_BUF, no
-    larger than any pipe's capacity, a write never waits for the peer to
-    read, so a peer blocked writing answers cannot deadlock the client.
+    the request it was given. Since a write never waits for the peer to
+    read, a peer blocked writing answers cannot deadlock the client.
 
     Reads are buffered internally; when a timeout is set and the reader
     exposes a file descriptor, waiting for more bytes goes through
     select, so a silent peer raises instead of hanging forever.
     """
 
-    def __init__(
-        self,
-        writer: BinaryIO,
-        reader: BinaryIO,
-        timeout: float | None = None,
-        window: int = select.PIPE_BUF,
-    ) -> None:
+    def __init__(self, writer: BinaryIO, reader: BinaryIO, timeout: float | None = None) -> None:
         self._writer = writer
         self._reader = reader
         self._timeout = timeout
-        self._window = window
         self._buffer = bytearray()
-        self._unsent: deque[bytes] = deque()
-        self._unanswered: deque[bytes] = deque()
-        self._unanswered_bytes = 0
+        self._queue: deque[bytes] = deque()  # unanswered requests, in order
+        self._sent = 0  # how many at the head of the queue were written
+        self._sent_bytes = 0
         self._send_failure: OSError | ValueError | None = None
 
     @property
     def awaiting_answer(self) -> bool:
         """Whether a request has been written whose answer is not yet read."""
-        return bool(self._unanswered)
+        return self._sent > 0
 
     def send_ahead(self, requests: Iterable[tuple[int, BoundingBox, float, float]]) -> None:
         """Queue requests, in the order request will be called for them,
         and write as many as the window holds. A failed write is raised by
         the request call of the first request it affected, not here."""
         for frame_id, region, input_width, input_height in requests:
-            self._unsent.append(_encode_request(frame_id, region, input_width, input_height))
+            self._queue.append(_encode_request(frame_id, region, input_width, input_height))
         self._send()
 
     def request(
         self, frame_id: int, region: BoundingBox, input_width: float, input_height: float
     ) -> list[Detection]:
         payload = _encode_request(frame_id, region, input_width, input_height)
-        if not (self._unanswered or self._unsent):
-            self._unsent.append(payload)
-        head = (self._unanswered or self._unsent)[0]
-        if payload != head:
+        if not self._queue:
+            self._queue.append(payload)
+        if payload != self._queue[0]:
             raise ProtocolError(
                 f"request out of order: {payload.decode().strip()!r} "
-                f"while {head.decode().strip()!r} is next"
+                f"while {self._queue[0].decode().strip()!r} is next"
             )
-        if not self._unanswered:
+        if not self._sent:
             self._send()
             if self._send_failure is not None:
                 exc = self._send_failure
@@ -307,34 +304,30 @@ class LineProtocolClient:
             if line is None:
                 raise ProtocolError(f"truncated response: expected {count} boxes, got {i}")
             detections.append(parse_box_line(line))
-        self._unanswered_bytes -= len(self._unanswered.popleft())
+        self._sent -= 1
+        self._sent_bytes -= len(self._queue.popleft())
         self._send()
         return detections
 
     def _send(self) -> None:
-        """Write, in one write, the queued requests that fit in the window
+        """Write, in one write, the unsent requests that fit in the window
         (at least one when nothing is awaiting an answer). After a failed
         write nothing more is sent; the error is kept for request."""
-        if self._send_failure is not None or not self._unsent:
+        if self._send_failure is not None:
             return
-        size = self._unanswered_bytes
-        batch = []
-        for payload in self._unsent:
-            if size + len(payload) > self._window and (batch or self._unanswered):
-                break
-            size += len(payload)
-            batch.append(payload)
-        if not batch:
+        end, size = self._sent, self._sent_bytes
+        while end < len(self._queue) and (end == 0 or size + len(self._queue[end]) <= _WINDOW):
+            size += len(self._queue[end])
+            end += 1
+        if end == self._sent:
             return
         try:
-            self._writer.write(b"".join(batch))
+            self._writer.write(b"".join(islice(self._queue, self._sent, end)))
             self._writer.flush()
         except (OSError, ValueError) as exc:
             self._send_failure = exc
             return
-        for _ in batch:
-            self._unanswered.append(self._unsent.popleft())
-        self._unanswered_bytes = size
+        self._sent, self._sent_bytes = end, size
 
     def _read_line(self) -> str | None:
         """Next newline-terminated line, or None on EOF (partial lines included)."""

@@ -40,10 +40,10 @@ class Detector(Protocol):
 
     A detector may also define send_ahead(frame_handle, calls). When it
     does, process_frame calls it with the frame's planned calls, each
-    (region, input_width, input_height, source), before the first detect
-    of a frame with more than one call, and then calls detect for each of
-    them in that order. A remote detector can use it to send requests
-    ahead of their answers; a failure it meets is raised by a later detect.
+    (region, input_width, input_height, source), before the frame's first
+    detect, and then calls detect for each of them in that order. A remote
+    detector can use it to send requests ahead of their answers; a failure
+    it meets is raised by a later detect.
     """
 
     def detect(
@@ -221,7 +221,7 @@ def process_frame(
     groups: list[list[Detection]] = []
     t_calls = t_full = perf_counter()
     send_ahead = getattr(detector, "send_ahead", None)
-    if send_ahead is not None and len(plan.calls) > 1:
+    if send_ahead is not None:
         send_ahead(frame_handle, plan.calls)
     for region, input_width, input_height, source in plan.calls:
         try:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import select
 import subprocess
 import sys
 import time
@@ -394,19 +395,20 @@ def test_client_keeps_unanswered_requests_within_the_window():
             self.sizes.append(len(data))
             return super().write(data)
 
-    requests = [(5, BoundingBox(0.0, 0.0, 10.0 + k, 10.0), 100, 100) for k in range(12)]
+    # 1,200-digit frame ids: three requests fit in the PIPE_BUF window, four do not
+    requests = [(10**1200, BoundingBox(0.0, 0.0, 10.0 + k, 10.0), 100, 100) for k in range(12)]
     lines = [format_request(*r).encode() + b"\n" for r in requests]
     size = len(lines[0])
     assert all(len(line) == size for line in lines)
+    assert 3 * size <= select.PIPE_BUF < 4 * size
     answers = b"".join(f"BOXES 1\n0.0 0.0 1.0 1.0 {k / 100!r}\n".encode() for k in range(12))
-    window = 3 * size + 5  # three requests at a time
     writer = Writes()
-    client = LineProtocolClient(writer, io.BytesIO(answers), window=window)
+    client = LineProtocolClient(writer, io.BytesIO(answers))
     client.send_ahead(requests)
     assert writer.sizes == [3 * size]
     for k, request in enumerate(requests):
         assert client.request(*request) == [Detection(BoundingBox(0.0, 0.0, 1.0, 1.0), k / 100)]
-        assert len(writer.getvalue()) - (k + 1) * size <= window
+        assert len(writer.getvalue()) - (k + 1) * size <= select.PIPE_BUF
     # one request is written each time an answer makes room for it
     assert writer.sizes == [3 * size] + [size] * 9
     assert writer.getvalue() == b"".join(lines)
@@ -422,9 +424,11 @@ def test_failed_send_is_raised_by_the_request_it_affected():
                 raise BrokenPipeError("pipe closed")
             return super().write(data)
 
-    requests = [(0, BoundingBox(0.0, 0.0, 10.0 + k, 10.0), 100, 100) for k in range(3)]
-    window = len(format_request(*requests[0])) + 1  # one request at a time
-    client = LineProtocolClient(BreaksAfterFirstWrite(), io.BytesIO(b"BOXES 0\n"), window=window)
+    # 2,100-digit frame ids: one request at a time fits in the PIPE_BUF window
+    requests = [(10**2100, BoundingBox(0.0, 0.0, 10.0 + k, 10.0), 100, 100) for k in range(3)]
+    size = len(format_request(*requests[0])) + 1
+    assert size <= select.PIPE_BUF < 2 * size
+    client = LineProtocolClient(BreaksAfterFirstWrite(), io.BytesIO(b"BOXES 0\n"))
     client.send_ahead(requests)
     assert client.request(*requests[0]) == []  # its answer's read tries the failing write
     with pytest.raises(DetectorError, match="failed to send request") as info:
@@ -520,10 +524,10 @@ sent = sum(len(f"DETECT {frame} {r.x_min!r} {r.y_min!r} {r.x_max!r} {r.y_max!r} 
 assert sent > 65536, sent
 with ExternalProcessDetector(sys.argv[1].split("|"), timeout=20.0) as detector:
     detector.send_ahead(frame, calls)
-    peak = detector._client._unanswered_bytes
+    peak = detector._client._sent_bytes
     for region, w, h in calls:
         assert len(detector.detect(frame, region, w, h)) == n_boxes
-        peak = max(peak, detector._client._unanswered_bytes)
+        peak = max(peak, detector._client._sent_bytes)
 assert select.PIPE_BUF - 400 < peak <= select.PIPE_BUF, peak
 print("ok")
 """
